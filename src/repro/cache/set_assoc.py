@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.config import CacheGeometry
+from repro.common import settings
 from repro.common.errors import PoisonedLineError
 from repro.common.stats import StatGroup
 from repro.common.words import check_line
 from repro.obs import trace as obs_trace
-from repro.resilience import config as res_config
 from repro.resilience import verify as res_verify
 from repro.resilience.faults import make_injector
 from repro.cache.base import FillResult, LLCInterface, ReadResult
@@ -173,7 +173,7 @@ class SetAssociativeCache(LLCInterface):
     def _recover(self, cache_set: _Set, line: _Line,
                  during: str) -> ReadResult:
         """A poisoned line was touched: detect, recover per policy."""
-        policy = res_config.current().policy
+        policy = settings.current().soft_error_policy
         self.stats.add("soft_errors_detected")
         latency = self.base_latency_cycles + self.decompression_cycles
         if self.compressor is not None:
@@ -290,7 +290,7 @@ class SetAssociativeCache(LLCInterface):
                 # The dirty victim cannot be decompressed for write-back:
                 # detection fires here, and the write is lost (or the
                 # run stops under failstop).
-                policy = res_config.current().policy
+                policy = settings.current().soft_error_policy
                 self.stats.add("soft_errors_detected")
                 if policy == "failstop":
                     raise PoisonedLineError(

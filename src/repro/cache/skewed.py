@@ -24,13 +24,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cache.base import FillResult, LLCInterface, ReadResult
 from repro.common.config import CacheGeometry
+from repro.common import settings
 from repro.common.errors import PoisonedLineError
 from repro.common.stats import StatGroup
 from repro.common.words import check_line
 from repro.obs import trace as obs_trace
 from repro.compression.base import IntraLineCompressor
 from repro.compression.cpack import CPackCompressor
-from repro.resilience import config as res_config
 from repro.resilience import verify as res_verify
 from repro.resilience.faults import make_injector
 
@@ -143,7 +143,7 @@ class SkewedCompressedCache(LLCInterface):
     def _recover(self, entry: _Entry, line_address: int,
                  during: str) -> ReadResult:
         """A poisoned line was touched: detect, recover per policy."""
-        policy = res_config.current().policy
+        policy = settings.current().soft_error_policy
         bit = entry.poisoned[line_address]
         self.stats.add("soft_errors_detected")
         self.stats.add("decompressions")
@@ -260,7 +260,7 @@ class SkewedCompressedCache(LLCInterface):
             if dirty:
                 if line_address in entry.poisoned:
                     # Dirty victim cannot be decompressed for write-back.
-                    policy = res_config.current().policy
+                    policy = settings.current().soft_error_policy
                     self.stats.add("soft_errors_detected")
                     if policy == "failstop":
                         raise PoisonedLineError(

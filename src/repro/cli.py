@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from repro.experiments import (
@@ -229,7 +230,7 @@ def _command_list() -> int:
     print("\nbenchmarks:")
     for name in ALL_SINGLE_PROGRAMS:
         print(f"  {name}")
-    from repro.obs.config import ALL_CATEGORIES
+    from repro.common.settings import ALL_CATEGORIES, Settings
     print("\nobservability categories (REPRO_OBS_CATEGORIES):")
     print("  " + " ".join(ALL_CATEGORIES))
     from repro.conformance.driver import ALL_COMPONENTS
@@ -239,41 +240,9 @@ def _command_list() -> int:
     print("\nconformance stream mixes:")
     print("  " + " ".join(STREAM_MIXES))
     print("\nenvironment knobs:")
-    knobs = (
-        ("REPRO_OBS", "enable metrics + event tracing (default 0)"),
-        ("REPRO_OBS_TRACE", "trace output path "
-                            "(default repro_obs.jsonl)"),
-        ("REPRO_OBS_CATEGORIES", "comma-separated category filter "
-                                 "(default all)"),
-        ("REPRO_OBS_SAMPLE", "memory queue sampling stride "
-                             "(default 64)"),
-        ("REPRO_JOBS", "experiment worker processes "
-                       "(default cpu count)"),
-        ("REPRO_FAST", "bit-exact compression fast paths "
-                       "(default 1)"),
-        ("REPRO_SCALE", "scale factor for default instruction "
-                        "counts"),
-        ("REPRO_ON_ERROR", "failed-cell policy: raise, skip or "
-                           "retry (default raise)"),
-        ("REPRO_RETRIES", "retry attempts per cell under "
-                          "on_error=retry (default 2)"),
-        ("REPRO_RETRY_BACKOFF", "base retry backoff seconds, doubled "
-                                "per attempt + jitter (default 0.05)"),
-        ("REPRO_CELL_TIMEOUT", "per-cell wall-clock timeout seconds, "
-                               "pool mode (default 0 = off)"),
-        ("REPRO_FAULT_INJECT", "deterministic fault injection, e.g. "
-                               "crash@10%,flaky@1,hang@0:1.5,kill@3"),
-        ("REPRO_SOFT_ERRORS", "soft-error model: flip rate per stored "
-                              "bit or @index[:bit] (default 0 = off)"),
-        ("REPRO_SOFT_ERROR_POLICY", "detected-error recovery: refetch, "
-                                    "raw or failstop (default refetch)"),
-        ("REPRO_SOFT_ERROR_SEED", "seed for deterministic flip offsets "
-                                  "(default 0)"),
-        ("REPRO_VERIFY", "round-trip + invariant self-verification "
-                         "(default 0)"),
-    )
-    for knob, description in knobs:
-        print(f"  {knob:<26}{description}")
+    for knob in fields(Settings):
+        print(f"  {knob.metadata['env']:<26}{knob.metadata['help']} "
+              f"(default {knob.metadata['default']})")
     return 0
 
 

@@ -39,7 +39,6 @@ from repro.common.bitio import BitReader, BitWriter
 from repro.common.errors import CompressionError, CorruptBitstreamError
 from repro.common.words import LINE_SIZE, ZERO_LINE, check_line
 from repro.obs.trace import compression_event
-from repro.perf.fastpath import fast_paths_enabled
 
 CHUNK_BYTES = 32
 """LBE reads input in 256-bit chunks."""
@@ -317,12 +316,8 @@ class LbeCompressor:
         loop over the 256/128/64/32-bit granularities plus a
         content-keyed LRU memo per dictionary (cross-line duplication
         makes repeats common); both are bit-exact against
-        :func:`repro.perf.reference.reference_lbe_measure`, which also
-        serves the path when fast paths are disabled.
+        :func:`repro.conformance.codecs.reference_lbe_measure`.
         """
-        if not fast_paths_enabled():
-            from repro.perf.reference import reference_lbe_measure
-            return reference_lbe_measure(line, dictionary)
         line = check_line(line)
         if line == ZERO_LINE:
             return self._ZERO_LINE_BITS

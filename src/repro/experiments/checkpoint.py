@@ -9,13 +9,21 @@ file::
     (key, {"status": "ok"|"error", "label": ..., "result": ...,
            "timing": CellTiming})
 
-``key`` is a stable hash of the cell's position, label and spec repr
-(:func:`spec_key`), so a resume run matches journal entries to grid
-cells even across processes, and a checkpoint written for one grid is
-never silently replayed into a different one.  Appends are flushed and
-fsynced per frame; a run killed mid-append leaves at most one torn
-trailing frame, which :meth:`GridCheckpoint.load` drops (like the
-JSONL trace reader tolerates a torn final line).
+``key`` is a stable hash of the cell's position, label, spec repr,
+worker function and the result-affecting settings (:func:`spec_key`),
+so a resume run matches journal entries to grid cells even across
+processes.  A cell is replayed only into a grid that would compute the
+same result for it: change the spec, the worker or a setting that moves
+simulated bits (the soft-error model) and the cell re-runs.  Settings
+that cannot change a result (worker count, tracing, verification, the
+engine's fault/retry/timeout knobs) are left out of the key on purpose,
+so a sweep crashed by injected faults still resumes clean.  What the key
+cannot see — the simulator's own code — is on the user: a checkpoint
+resumed after the code changed replays the old code's cells.
+
+Appends are flushed and fsynced per frame; a run killed mid-append
+leaves at most one torn trailing frame, which :meth:`GridCheckpoint.load`
+drops (like the JSONL trace reader tolerates a torn final line).
 
 Pickle rather than JSONL because cell results are arbitrary result
 dataclasses (:class:`~repro.sim.system.SingleRunResult` and friends);
@@ -30,21 +38,24 @@ import os
 import pickle
 from typing import Any, BinaryIO, Dict, Optional
 
-#: bumped whenever the journal frame layout changes, so an old
-#: checkpoint can never be misread as a new one (it hashes into keys)
-SCHEMA_VERSION = 1
+#: bumped whenever the journal frame layout or the key's inputs change,
+#: so an old checkpoint can never be misread as a new one (it hashes
+#: into keys)
+SCHEMA_VERSION = 2
 
 
-def spec_key(index: int, label: str, item: Any, worker: str = "") -> str:
+def spec_key(index: int, label: str, item: Any, worker: str = "",
+             settings: str = "") -> str:
     """Stable identity of one grid cell.
 
     Hashes the cell's grid position, timing label, the spec's repr
     (specs are frozen dataclasses of primitives, so their reprs are
-    deterministic across processes and runs) and the worker function's
+    deterministic across processes and runs), the worker function's
     identity, so a checkpoint for one grid function is never replayed
-    into another that happens to share items.
+    into another that happens to share items, and ``settings`` — the
+    grid's :meth:`~repro.common.settings.Settings.result_key`.
     """
-    blob = f"{SCHEMA_VERSION}|{worker}|{index}|{label}|{item!r}"
+    blob = f"{SCHEMA_VERSION}|{worker}|{settings}|{index}|{label}|{item!r}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 

@@ -24,7 +24,7 @@ Guarantees:
   :class:`~repro.common.errors.CellError` in that cell's result slot
   instead of aborting the grid (``on_error="skip"``/``"retry"``), cells
   can be retried with exponential backoff plus deterministic jitter
-  (``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``) and bounded by a per-cell
+  (``REPRO_RETRIES``, :data:`RETRY_BACKOFF_S`) and bounded by a per-cell
   wall-clock timeout (``REPRO_CELL_TIMEOUT``, pool mode only), and a
   dead pool (``BrokenProcessPool``: a worker was OOM-killed or crashed
   hard) escalates to a graceful serial re-run of the unfinished cells;
@@ -33,13 +33,17 @@ Guarantees:
   ``resume=True`` replays completed cells from the journal and re-runs
   only missing/failed ones, and Ctrl-C mid-grid cancels pending work,
   reaps the workers and flushes the journal before re-raising so a
-  killed sweep resumes cleanly.
+  killed sweep resumes cleanly;
+- **one set of settings per grid** — the grid snapshots
+  :func:`repro.common.settings.current` when it starts, every worker
+  runs its cells under that snapshot, and the snapshot's
+  result-affecting fields are part of every checkpoint key, so a
+  journal is never replayed into a run whose soft-error model differs.
 
-``REPRO_JOBS`` overrides the worker count; invalid values raise
-:class:`~repro.common.errors.ConfigError` rather than silently running
-serial.  ``REPRO_FAULT_INJECT`` (``crash@2,flaky@1,hang@0:1.5,kill@3,
-crash@10%``) deterministically injects faults per cell index for the
-robustness tests and ``bench_perf``'s robustness leg.
+``REPRO_JOBS`` overrides the worker count.  ``REPRO_FAULT_INJECT``
+(``crash@2,flaky@1,hang@0:1.5,kill@3,crash@10%``) deterministically
+injects faults per cell index for the robustness tests and
+``bench_perf``'s robustness leg.
 """
 
 from __future__ import annotations
@@ -58,8 +62,10 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
+from repro.common import settings
 from repro.common.config import SystemConfig
 from repro.common.errors import CellError, CellFailedError, ConfigError
+from repro.common.settings import ON_ERROR_MODES, FaultDirective, Settings
 from repro.experiments.checkpoint import GridCheckpoint, spec_key
 from repro.obs import trace as obs_trace
 from repro.obs.profiling import WorkerProfile, peak_rss_kb, worker_profiles
@@ -69,11 +75,8 @@ from repro.perf.timing import CellTiming
 #: instance, so specs stay small and picklable)
 MEMORY_CHANNELS = ("simple", "link", "banked")
 
-#: what the engine does with a cell whose worker raised
-ON_ERROR_MODES = ("raise", "skip", "retry")
-
-#: fault-injection modes understood by ``REPRO_FAULT_INJECT``
-FAULT_MODES = ("crash", "flaky", "hang", "kill")
+#: base retry backoff in seconds, doubled per attempt plus jitter
+RETRY_BACKOFF_S = 0.05
 
 #: pid of the process that imported this module (the grid parent under
 #: ``fork``); lets injected ``kill`` faults refuse to kill the parent
@@ -134,113 +137,13 @@ class EngineOptions:
     resume: bool = False
 
 
-@dataclass(frozen=True)
-class EnginePolicy:
-    """Resolved engine behaviour (options + environment), one per grid."""
-
-    on_error: str = "raise"
-    retries: int = 2
-    backoff_s: float = 0.05
-    timeout_s: float = 0.0
-    faults: Tuple["FaultDirective", ...] = ()
-
-
-@dataclass(frozen=True)
-class FaultDirective:
-    """One parsed ``REPRO_FAULT_INJECT`` directive.
-
-    ``selector`` is ``"index"`` (fire on exactly ``value``) or
-    ``"stride"`` (fire on every ``value``-th cell — ``crash@10%`` parses
-    to stride 10, i.e. 10% of cells, deterministically by index).
-    """
-
-    mode: str
-    selector: str
-    value: int
-    arg: float = 0.0
-
-    def matches(self, index: int) -> bool:
-        if self.selector == "index":
-            return index == self.value
-        return index % self.value == 0
-
-
 class FaultInjected(Exception):
     """Raised by a deterministically injected fault (tests/benches)."""
 
 
 def worker_count() -> int:
     """Number of worker processes (``REPRO_JOBS`` or the CPU count)."""
-    raw = os.environ.get("REPRO_JOBS")
-    if raw is None:
-        return max(1, os.cpu_count() or 1)
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ConfigError(f"REPRO_JOBS must be an integer, got {raw!r}")
-    if jobs < 1:
-        raise ConfigError(f"REPRO_JOBS must be >= 1, got {jobs}")
-    return jobs
-
-
-def _env_number(name: str, default: float, minimum: float,
-                cast: Callable[[str], float]) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = cast(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be numeric, got {raw!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum:g}, got {raw!r}")
-    return value
-
-
-def parse_fault_spec(raw: str) -> Tuple[FaultDirective, ...]:
-    """Parse ``REPRO_FAULT_INJECT``: comma-separated ``mode@index[:arg]``
-    or ``mode@N%`` directives, mode in :data:`FAULT_MODES`."""
-    directives: List[FaultDirective] = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        mode, at, rest = token.partition("@")
-        selector, _, argtext = rest.partition(":")
-        try:
-            if mode not in FAULT_MODES or not at or not selector:
-                raise ValueError
-            arg = float(argtext) if argtext else 0.0
-            if selector.endswith("%"):
-                percent = int(selector[:-1])
-                if not 0 < percent <= 100:
-                    raise ValueError
-                directives.append(FaultDirective(
-                    mode, "stride", max(1, round(100 / percent)), arg))
-            else:
-                directives.append(FaultDirective(
-                    mode, "index", int(selector), arg))
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_FAULT_INJECT directive {token!r} is not "
-                f"mode@index[:arg] or mode@N% with mode in "
-                f"{list(FAULT_MODES)}")
-    return tuple(directives)
-
-
-def _resolve_policy(options: EngineOptions) -> EnginePolicy:
-    on_error = (options.on_error
-                or os.environ.get("REPRO_ON_ERROR", "raise").strip().lower()
-                or "raise")
-    if on_error not in ON_ERROR_MODES:
-        raise ConfigError(f"on_error must be one of {list(ON_ERROR_MODES)},"
-                          f" got {on_error!r}")
-    return EnginePolicy(
-        on_error=on_error,
-        retries=int(_env_number("REPRO_RETRIES", 2, 0, int)),
-        backoff_s=_env_number("REPRO_RETRY_BACKOFF", 0.05, 0.0, float),
-        timeout_s=_env_number("REPRO_CELL_TIMEOUT", 0.0, 0.0, float),
-        faults=parse_fault_spec(os.environ.get("REPRO_FAULT_INJECT", "")))
+    return settings.current().jobs or max(1, os.cpu_count() or 1)
 
 
 def retry_delay(label: str, attempt: int, backoff_s: float) -> float:
@@ -323,13 +226,15 @@ def _apply_fault(fault: FaultDirective, index: int, attempt: int) -> None:
 
 def _guarded(worker: Callable[[Any], Tuple[Any, float, int]],
              payload: Tuple[float, int, int, Optional[FaultDirective],
-                            Any]) -> Tuple:
+                            Settings, Any]) -> Tuple:
     """Run one cell attempt in its worker, capturing failure as data.
 
-    ``payload`` is ``(submitted, index, attempt, fault, item)``; the
-    parent's ``perf_counter`` at submission gives a real queue-wait
-    duration (CLOCK_MONOTONIC is system-wide on Linux and shared across
-    forked workers).  Returns either::
+    ``payload`` is ``(submitted, index, attempt, fault, snapshot,
+    item)``; the parent's ``perf_counter`` at submission gives a real
+    queue-wait duration (CLOCK_MONOTONIC is system-wide on Linux and
+    shared across forked workers), and the cell runs under the grid's
+    settings ``snapshot`` (free when the worker already has them).
+    Returns either::
 
         ("ok", result, seconds, pid, queue_wait_s, peak_rss_kb)
         ("error", exception_repr, traceback_text, seconds, pid,
@@ -338,13 +243,14 @@ def _guarded(worker: Callable[[Any], Tuple[Any, float, int]],
     so a worker exception crosses the process boundary as plain data
     instead of poisoning ``ProcessPoolExecutor``'s result plumbing.
     """
-    submitted, index, attempt, fault, item = payload
+    submitted, index, attempt, fault, snapshot, item = payload
     queue_wait = max(0.0, time.perf_counter() - submitted)
     started = time.perf_counter()
     try:
         if fault is not None:
             _apply_fault(fault, index, attempt)
-        result, seconds, pid = worker(item)
+        with settings.override(snapshot):
+            result, seconds, pid = worker(item)
     except KeyboardInterrupt:
         raise
     except BaseException as error:
@@ -438,12 +344,16 @@ class _Grid:
     """State of one engine invocation: slots, attempts, journal."""
 
     def __init__(self, worker: Callable, items: Sequence[Any],
-                 labels: Sequence[str], policy: EnginePolicy,
-                 options: EngineOptions) -> None:
+                 labels: Sequence[str], options: EngineOptions) -> None:
+        self.settings = settings.current()
+        self.on_error = options.on_error or self.settings.on_error
+        if self.on_error not in ON_ERROR_MODES:
+            raise ConfigError(f"on_error must be one of "
+                              f"{list(ON_ERROR_MODES)}, got "
+                              f"{self.on_error!r}")
         self.runner = functools.partial(_guarded, worker)
         self.items = list(items)
         self.labels = list(labels)
-        self.policy = policy
         self.options = options
         self.results: Dict[int, Any] = {}
         self.timings: Dict[int, CellTiming] = {}
@@ -451,7 +361,9 @@ class _Grid:
         self.journal = (GridCheckpoint(options.checkpoint)
                         if options.checkpoint else None)
         identity = _worker_identity(worker) if self.journal else ""
-        self.keys = ([spec_key(index, self.labels[index], item, identity)
+        result_key = self.settings.result_key()
+        self.keys = ([spec_key(index, self.labels[index], item, identity,
+                               result_key)
                       for index, item in enumerate(self.items)]
                      if self.journal else None)
 
@@ -508,14 +420,14 @@ class _Grid:
         return [self.timings[index] for index in sorted(self.timings)]
 
     def fault_for(self, index: int) -> Optional[FaultDirective]:
-        for directive in self.policy.faults:
+        for directive in self.settings.fault_inject:
             if directive.matches(index):
                 return directive
         return None
 
     def payload(self, index: int, attempt: int) -> Tuple:
         return (time.perf_counter(), index, attempt,
-                self.fault_for(index), self.items[index])
+                self.fault_for(index), self.settings, self.items[index])
 
     def record_error(self, index: int, cell: CellError,
                      timing: Optional[CellTiming]) -> None:
@@ -526,7 +438,7 @@ class _Grid:
         self._journal_cell(index, "error", cell, timing)
         self._emit("cell_error", label=cell.label, error=cell.exception,
                    attempts=cell.attempts, kind=cell.kind)
-        if self.policy.on_error == "raise":
+        if self.on_error == "raise":
             raise CellFailedError(cell)
 
     def classify(self, index: int, attempt: int,
@@ -546,9 +458,9 @@ class _Grid:
             self._journal_cell(index, "ok", result, timing)
             return None
         _, exception, trace_text, seconds, pid, queue_wait, rss = outcome
-        if (self.policy.on_error == "retry"
-                and attempt <= self.policy.retries):
-            delay = retry_delay(label, attempt, self.policy.backoff_s)
+        if (self.on_error == "retry"
+                and attempt <= self.settings.retries):
+            delay = retry_delay(label, attempt, RETRY_BACKOFF_S)
             self._emit("cell_retry", label=label, attempt=attempt,
                        delay_s=round(delay, 6), error=exception)
             return delay
@@ -590,8 +502,9 @@ class _Grid:
                 # spent queued behind other cells
                 while todo and len(pending) < jobs:
                     index, attempt = todo.popleft()
-                    deadline = (time.perf_counter() + self.policy.timeout_s
-                                if self.policy.timeout_s > 0 else None)
+                    timeout = self.settings.cell_timeout
+                    deadline = (time.perf_counter() + timeout
+                                if timeout > 0 else None)
                     try:
                         future = pool.submit(
                             self.runner, self.payload(index, attempt))
@@ -674,7 +587,8 @@ class _Grid:
         requeued (cells are pure — recomputing is bit-identical).
         Timeouts are terminal: retrying a hang would only hang again.
         """
-        if self.policy.timeout_s <= 0:
+        timeout = self.settings.cell_timeout
+        if timeout <= 0:
             return pool
         now = time.perf_counter()
         expired = [future for future, (_, _, deadline) in pending.items()
@@ -690,9 +604,9 @@ class _Grid:
                 index,
                 CellError(label,
                           f"TimeoutError('cell exceeded "
-                          f"{self.policy.timeout_s:g}s wall clock')",
+                          f"{timeout:g}s wall clock')",
                           "", attempts=attempt, kind="timeout"),
-                CellTiming(label, self.policy.timeout_s, 0, 0.0, 0))
+                CellTiming(label, timeout, 0, 0.0, 0))
         for index, attempt, _ in pending.values():
             todo.append((index, attempt))
         pending.clear()
@@ -711,7 +625,7 @@ def _run_timed_cells(worker: Callable[[Any], Tuple[Any, float, int]],
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     options = engine or EngineOptions()
-    grid = _Grid(worker, items, labels, _resolve_policy(options), options)
+    grid = _Grid(worker, items, labels, options)
     _last_timings.clear()
     _last_errors.clear()
     _last_wall_s = 0.0

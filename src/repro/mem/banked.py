@@ -54,7 +54,6 @@ class BankedMemoryChannel:
         self._bus_free = 0.0
         self.stats = StatGroup("banked-memory")
         self._obs_countdown = 0
-        timing.register_observability(core_hz)
 
     @property
     def transfer_cycles(self) -> float:
@@ -104,7 +103,7 @@ class BankedMemoryChannel:
         if channel is not None:
             self._obs_countdown = getattr(self, "_obs_countdown", 0) - 1
             if self._obs_countdown <= 0:
-                self._obs_countdown = obs_trace.mem_sample_interval()
+                self._obs_countdown = obs_trace.MEM_SAMPLE_INTERVAL
                 channel.emit("queue_sample", channel=self.stats.name,
                              now=now, wait=queue_wait,
                              backlog=self._bus_free - now,

@@ -31,7 +31,8 @@ class MemoryChannel:
         self._obs_countdown = 0
 
     def _sample_occupancy(self, now: float, queue_wait: float) -> None:
-        """Trace every Nth request's queueing state (``REPRO_OBS_SAMPLE``).
+        """Trace every Nth request's queueing state
+        (:data:`~repro.obs.trace.MEM_SAMPLE_INTERVAL`).
 
         ``backlog`` is how far the channel's next free slot sits past
         ``now`` after scheduling this transfer — the queue depth in
@@ -43,7 +44,7 @@ class MemoryChannel:
         self._obs_countdown -= 1
         if self._obs_countdown > 0:
             return
-        self._obs_countdown = obs_trace.mem_sample_interval()
+        self._obs_countdown = obs_trace.MEM_SAMPLE_INTERVAL
         channel.emit("queue_sample", channel=self.stats.name, now=now,
                      wait=queue_wait, backlog=self._free_at - now,
                      reads=int(self.stats.get("reads")),

@@ -27,6 +27,7 @@ from collections import Counter, deque
 from typing import Deque, List, Optional
 
 from repro.common.config import MorcConfig
+from repro.common import settings
 from repro.common.errors import CacheError, PoisonedLineError
 from repro.common.stats import StatGroup
 from repro.common.words import LINE_SIZE, check_line
@@ -43,7 +44,6 @@ from repro.morc.lmt import LineMapTable, LmtEntry, LmtState
 from repro.morc.log import Log, LogEntry
 from repro.morc.policies import PlacementCandidate, choose_log
 from repro.obs import trace as obs_trace
-from repro.resilience import config as res_config
 from repro.resilience import verify as res_verify
 from repro.resilience.faults import make_injector
 
@@ -175,7 +175,7 @@ class MorcCache(LLCInterface):
         recovery then reports a miss, which routes the refetch through
         the memory controller's ordinary latency/energy accounting.
         """
-        policy = res_config.current().policy
+        policy = settings.current().soft_error_policy
         latency = self._hit_latency(log_entry)
         self.stats.add("soft_errors_detected")
         self.stats.add("decompressed_lines", log_entry.position + 1)
@@ -489,7 +489,7 @@ class MorcCache(LLCInterface):
         A dirty poisoned line cannot be written back — the write is
         lost; a clean one is simply dropped (memory still holds it).
         """
-        policy = res_config.current().policy
+        policy = settings.current().soft_error_policy
         self.stats.add("soft_errors_detected")
         if policy == "failstop":
             raise PoisonedLineError(

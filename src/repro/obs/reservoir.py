@@ -1,12 +1,8 @@
 """Bounded-memory streaming statistics: reservoir sampling + exact moments.
 
-Two consumers share this module:
-
-- the observability registry's :class:`~repro.obs.registry.Histogram`
-  wraps a :class:`Reservoir` for quantiles over unbounded streams;
-- :class:`repro.sim.metrics.RunMetrics` replaces its plain
-  ``miss_latencies``/``miss_gaps`` lists with :class:`MissSeries`, fixing
-  the unbounded memory growth those lists had on long runs.
+:class:`repro.sim.metrics.RunMetrics` replaces its plain
+``miss_latencies``/``miss_gaps`` lists with :class:`MissSeries`, fixing
+the unbounded memory growth those lists had on long runs.
 
 Design constraints (why this is not just ``random.sample``):
 

@@ -25,7 +25,10 @@ import json
 import os
 from typing import Dict, Optional
 
-from repro.obs import config as _config
+from repro.common import settings
+
+#: memory-channel occupancy is traced every this many requests
+MEM_SAMPLE_INTERVAL = 64
 
 _context: Dict[str, object] = {}
 _fd: Optional[int] = None
@@ -92,16 +95,16 @@ def next_run_id() -> str:
 
 
 def refresh() -> None:
-    """Rebind the category channels from the current configuration."""
-    global LLC, COMPRESSION, MEM, RUN, ENGINE, RESILIENCE, _fd, _fd_path
-    cfg = _config.current()
+    """Rebind the category channels from the current settings."""
+    global _fd, _fd_path
+    cfg = settings.current()
     if _fd is not None:
         os.close(_fd)
         _fd = None
         _fd_path = None
-    for category in _config.ALL_CATEGORIES:
-        live = (Channel(category, cfg.trace_path)
-                if cfg.category_enabled(category) else None)
+    for category in settings.ALL_CATEGORIES:
+        live = (Channel(category, cfg.obs_trace)
+                if cfg.obs and category in cfg.obs_categories else None)
         globals()[category.upper()] = live
 
 
@@ -117,11 +120,6 @@ def clear_context(*keys: str) -> None:
         return
     for key in keys:
         _context.pop(key, None)
-
-
-def mem_sample_interval() -> int:
-    """Sampling stride for memory-channel occupancy events."""
-    return _config.current().mem_sample_interval
 
 
 def compression_event(algo: str, line: bytes, bits: int) -> None:
@@ -154,3 +152,4 @@ def entropy_class(line: bytes) -> str:
 
 
 refresh()
+settings.on_change(refresh)

@@ -6,69 +6,29 @@ Three pieces, all inert by default so a clean run stays bit-identical:
   into compressed payloads (``REPRO_SOFT_ERRORS=<rate|@index[:bit]>``);
 - recovery policies (``REPRO_SOFT_ERROR_POLICY=refetch|raw|failstop``)
   implemented inside the cache models, with refetch cost carried by the
-  ordinary miss path through the memory controller and energy model;
+  ordinary miss path through the memory controller and energy model:
+
+  - ``refetch`` — drop the poisoned copy and report a miss, so the
+    core refetches through the memory controller;
+  - ``raw`` — refetch, plus all future inserts of that line address
+    fall back to uncompressed storage;
+  - ``failstop`` — raise :class:`repro.common.errors.PoisonedLineError`
+    naming the poisoned line;
+
 - :mod:`repro.resilience.verify` — opt-in round-trip verification and
   cache invariant audits (``REPRO_VERIFY=1``).
 
 Events (``soft_error``/``recovery``/``verify_fail``) flow through the
 ``resilience`` category of :mod:`repro.obs.trace` and surface in
-``python -m repro obs``.  Tests and long-lived processes can flip the
-knobs at runtime::
-
-    import repro.resilience as resilience
-    resilience.configure(soft_errors="@0", policy="failstop")
-    ...
-    resilience.reset()   # back to the environment's settings
+``python -m repro obs``.  The knobs live in
+:mod:`repro.common.settings`; caches capture their injector at
+construction, so a ``settings.override(...)`` block must enclose the
+cache under test.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
-from repro.resilience import config as _config
-from repro.resilience.config import RECOVERY_POLICIES, ResilienceConfig
 from repro.resilience.faults import SoftErrorInjector, make_injector
 from repro.resilience.verify import audit, verification_enabled
 
 __all__ = [
-    "RECOVERY_POLICIES", "ResilienceConfig", "SoftErrorInjector",
-    "audit", "configure", "make_injector", "reset",
-    "verification_enabled",
+    "SoftErrorInjector", "audit", "make_injector", "verification_enabled",
 ]
-
-
-def configure(soft_errors: Optional[str] = None,
-              policy: Optional[str] = None,
-              seed: Optional[int] = None,
-              verify: Optional[bool] = None) -> ResilienceConfig:
-    """Override resilience settings at runtime (None = keep current).
-
-    ``soft_errors`` takes the same spec string as ``REPRO_SOFT_ERRORS``.
-    Caches capture their injector at construction, so reconfigure
-    *before* building the cache under test.
-    """
-    base = _config.current()
-    if soft_errors is None:
-        rate, index, bit = base.rate, base.index, base.bit
-    else:
-        rate, index, bit = _config.parse_soft_errors(str(soft_errors))
-    if policy is not None:
-        policy = policy.strip().lower()
-        if policy not in RECOVERY_POLICIES:
-            from repro.common.errors import ConfigError
-            raise ConfigError(
-                f"policy must be one of {list(RECOVERY_POLICIES)}, "
-                f"got {policy!r}")
-    updated = ResilienceConfig(
-        rate=rate, index=index, bit=bit,
-        policy=base.policy if policy is None else policy,
-        seed=base.seed if seed is None else int(seed),
-        verify=base.verify if verify is None else bool(verify))
-    _config.set_current(updated)
-    return updated
-
-
-def reset() -> ResilienceConfig:
-    """Reload settings from the environment (undo :func:`configure`)."""
-    _config.set_current(_config.load_from_env())
-    return _config.current()

@@ -29,12 +29,12 @@ from typing import List
 from repro.common.errors import VerificationError
 from repro.common.words import LINE_SIZE
 from repro.obs import trace as obs_trace
-from repro.resilience import config as _config
+from repro.common import settings
 
 
 def verification_enabled() -> bool:
     """True when ``REPRO_VERIFY`` checks should run."""
-    return _config.current().verify
+    return settings.current().verify
 
 
 def _fail(subject: str, violations: List[str], kind: str) -> None:

@@ -56,9 +56,8 @@ class TestMain:
         assert main(["figure8", "-b", "S6", "-n", "1500"]) == 0
         assert "S6" in capsys.readouterr().out
 
-    def test_skip_mode_reports_failed_cells(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash@1")
+    def test_skip_mode_reports_failed_cells(self, capsys, repro_env):
+        repro_env.set(REPRO_JOBS="1", REPRO_FAULT_INJECT="crash@1")
         assert main(["figure6", "-b", "gcc", "-n", "1500",
                      "--on-error", "skip"]) == 1
         captured = capsys.readouterr()

@@ -18,14 +18,14 @@ import types
 
 import pytest
 
-import repro.obs as obs
+from repro.common import settings
 from repro.common.errors import CellError, CellFailedError, ConfigError
 from repro.experiments import figure6, parallel
 from repro.experiments.checkpoint import GridCheckpoint, spec_key
+from repro.common.settings import parse_fault_spec
 from repro.experiments.parallel import (
     EngineOptions,
     parallel_map,
-    parse_fault_spec,
     retry_delay,
 )
 from repro.obs.reader import read_all, read_events
@@ -53,27 +53,23 @@ def _logged_double(item):
 
 
 @pytest.fixture
-def quiet_env(monkeypatch):
-    """Fault knobs cleared; fast backoff so retry tests stay quick."""
-    for name in ("REPRO_FAULT_INJECT", "REPRO_CELL_TIMEOUT",
-                 "REPRO_RETRIES", "REPRO_ON_ERROR"):
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
-    return monkeypatch
+def quiet_env(repro_env, monkeypatch):
+    """No ``REPRO_*`` knobs set; fast backoff so retry tests stay quick."""
+    monkeypatch.setattr(parallel, "RETRY_BACKOFF_S", 0.01)
+    return repro_env
 
 
 @pytest.fixture
-def trace_path(tmp_path):
+def trace_path(quiet_env, tmp_path):
     path = tmp_path / "trace.jsonl"
-    obs.configure(enabled=True, trace_path=str(path))
-    yield str(path)
-    obs.reset()
+    quiet_env.set(REPRO_OBS="1", REPRO_OBS_TRACE=str(path))
+    return str(path)
 
 
 # -- error capture ------------------------------------------------------
 
 def test_injected_crash_becomes_cell_error_grid_intact(quiet_env):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@2")
+    quiet_env.set(REPRO_FAULT_INJECT="crash@2")
     out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
                        engine=EngineOptions(on_error="skip"))
     assert out[0] == 2 and out[1] == 4 and out[3] == 8
@@ -87,7 +83,7 @@ def test_injected_crash_becomes_cell_error_grid_intact(quiet_env):
 
 
 def test_default_raise_mode_wraps_worker_exception(quiet_env):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@1")
+    quiet_env.set(REPRO_FAULT_INJECT="crash@1")
     with pytest.raises(CellFailedError) as excinfo:
         parallel_map(_double, [5, 6, 7], jobs=2)
     assert excinfo.value.cell.label == "cell[1]"
@@ -100,7 +96,7 @@ def test_failed_grid_does_not_leave_stale_engine_state(quiet_env):
     parallel_map(_double, [10, 20, 30], jobs=2, label="first")
     assert [t.label for t in parallel.last_timings()] == [
         "first[0]", "first[1]", "first[2]"]
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@0")
+    quiet_env.set(REPRO_FAULT_INJECT="crash@0")
     with pytest.raises(CellFailedError):
         parallel_map(_double, [1, 2], jobs=2, label="second")
     labels = [t.label for t in parallel.last_timings()]
@@ -112,7 +108,7 @@ def test_failed_grid_does_not_leave_stale_engine_state(quiet_env):
 
 def test_flaky_once_succeeds_on_retry_with_backoff_recorded(
         quiet_env, trace_path):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "flaky@1")
+    quiet_env.set(REPRO_FAULT_INJECT="flaky@1")
     out = parallel_map(_double, [1, 2, 3], jobs=2,
                        engine=EngineOptions(on_error="retry"))
     assert out == [2, 4, 6]
@@ -126,8 +122,8 @@ def test_flaky_once_succeeds_on_retry_with_backoff_recorded(
 
 
 def test_retries_exhausted_reports_attempt_count(quiet_env):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@0")
-    quiet_env.setenv("REPRO_RETRIES", "2")
+    quiet_env.set(REPRO_FAULT_INJECT="crash@0")
+    quiet_env.set(REPRO_RETRIES="2")
     out = parallel_map(_double, [1, 2], jobs=2,
                        engine=EngineOptions(on_error="retry"))
     cell = out[0]
@@ -148,8 +144,8 @@ def test_retry_delay_is_deterministic_exponential():
 # -- timeout ------------------------------------------------------------
 
 def test_hang_trips_cell_timeout(quiet_env):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "hang@0:30")
-    quiet_env.setenv("REPRO_CELL_TIMEOUT", "0.5")
+    quiet_env.set(REPRO_FAULT_INJECT="hang@0:30")
+    quiet_env.set(REPRO_CELL_TIMEOUT="0.5")
     started = time.perf_counter()
     out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
                        engine=EngineOptions(on_error="skip"))
@@ -165,7 +161,7 @@ def test_hang_trips_cell_timeout(quiet_env):
 # -- broken pool escalation ---------------------------------------------
 
 def test_killed_worker_escalates_to_serial_rerun(quiet_env):
-    quiet_env.setenv("REPRO_FAULT_INJECT", "kill@1")
+    quiet_env.set(REPRO_FAULT_INJECT="kill@1")
     out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
                        engine=EngineOptions(on_error="skip"))
     # the poisoned cell fails (raised, not killed, in the serial
@@ -181,12 +177,12 @@ def test_resume_reruns_only_missing_cells(quiet_env, tmp_path):
     ckpt = str(tmp_path / "grid.ckpt")
     log = str(tmp_path / "invocations.log")
     items = [(log, value) for value in range(4)]
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@2")
+    quiet_env.set(REPRO_FAULT_INJECT="crash@2")
     out = parallel_map(_logged_double, items, jobs=2,
                        engine=EngineOptions(on_error="skip",
                                             checkpoint=ckpt))
     assert isinstance(out[2], CellError)
-    quiet_env.delenv("REPRO_FAULT_INJECT")
+    quiet_env.set(REPRO_FAULT_INJECT=None)
     resumed = parallel_map(_logged_double, items, jobs=2,
                            engine=EngineOptions(on_error="skip",
                                                 checkpoint=ckpt,
@@ -204,7 +200,7 @@ def test_resume_reruns_only_missing_cells(quiet_env, tmp_path):
 
 def test_interrupt_flushes_checkpoint_and_resumes(quiet_env, tmp_path):
     ckpt = str(tmp_path / "grid.ckpt")
-    quiet_env.setenv("TEST_INTERRUPT", "1")
+    quiet_env.set(TEST_INTERRUPT="1")
     with pytest.raises(KeyboardInterrupt):
         parallel_map(_interruptible_double, [0, 1, 2, 3], jobs=2,
                      engine=EngineOptions(on_error="skip",
@@ -212,7 +208,7 @@ def test_interrupt_flushes_checkpoint_and_resumes(quiet_env, tmp_path):
     journaled = GridCheckpoint(ckpt).load()
     assert any(record["status"] == "ok"
                for record in journaled.values())
-    quiet_env.delenv("TEST_INTERRUPT")
+    quiet_env.set(TEST_INTERRUPT=None)
     resumed = parallel_map(_interruptible_double, [0, 1, 2, 3], jobs=2,
                            engine=EngineOptions(on_error="skip",
                                                 checkpoint=ckpt,
@@ -260,17 +256,17 @@ def test_figure_grid_resume_bit_identical_to_fault_free_run(
     # CellErrors reported, resume, and match a fault-free serial run.
     kwargs = dict(benchmarks=["gcc", "hmmer"], n_instructions=5_000,
                   schemes=("Uncompressed", "MORC"))
-    quiet_env.setenv("REPRO_JOBS", "1")
+    quiet_env.set(REPRO_JOBS="1")
     clean = figure6.run(**kwargs)
     ckpt = str(tmp_path / "figure6.ckpt")
-    quiet_env.setenv("REPRO_JOBS", "2")
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@10%")
+    quiet_env.set(REPRO_JOBS="2")
+    quiet_env.set(REPRO_FAULT_INJECT="crash@10%")
     partial = figure6.run(engine=EngineOptions(on_error="skip",
                                                checkpoint=ckpt), **kwargs)
     failed = [cell for runs in partial.runs.values() for cell in runs
               if isinstance(cell, CellError)]
     assert failed, "crash@10% must fail at least cell 0"
-    quiet_env.delenv("REPRO_FAULT_INJECT")
+    quiet_env.set(REPRO_FAULT_INJECT=None)
     resumed = figure6.run(engine=EngineOptions(on_error="skip",
                                                checkpoint=ckpt,
                                                resume=True), **kwargs)
@@ -282,6 +278,64 @@ def test_figure_grid_resume_bit_identical_to_fault_free_run(
             assert a.compression_ratio == b.compression_ratio
             assert a.ipc == b.ipc
             assert a.bandwidth_gb == b.bandwidth_gb
+
+
+GRID = dict(benchmarks=["gcc", "hmmer"], n_instructions=5_000,
+            schemes=("Uncompressed", "MORC"))
+
+
+def _ratios(result):
+    return [(run.compression_ratio, run.ipc, run.bandwidth_gb)
+            for scheme in GRID["schemes"] for run in result.runs[scheme]]
+
+
+def test_resume_under_changed_soft_errors_reruns_every_cell(
+        quiet_env, tmp_path):
+    # A journal written by a clean run must not stand in for cells whose
+    # soft-error model differs: every cell re-runs and the resumed grid
+    # matches a fresh run under the new settings.
+    ckpt = str(tmp_path / "figure6.ckpt")
+    quiet_env.set(REPRO_JOBS="1")
+    clean = figure6.run(engine=EngineOptions(checkpoint=ckpt), **GRID)
+    quiet_env.set(REPRO_SOFT_ERRORS="0.01", REPRO_SOFT_ERROR_POLICY="raw")
+    fresh = figure6.run(**GRID)
+    resumed = figure6.run(engine=EngineOptions(checkpoint=ckpt,
+                                               resume=True), **GRID)
+    assert parallel.last_resume()["loaded"] == 0
+    assert parallel.last_resume()["executed"] == 4
+    assert _ratios(resumed) == _ratios(fresh)
+    assert _ratios(resumed) != _ratios(clean)
+
+
+def test_resume_under_changed_jobs_or_tracing_replays_every_cell(
+        quiet_env, tmp_path):
+    # Worker count and tracing cannot change a result, so they stay out
+    # of the checkpoint key and a resume replays every journaled cell.
+    ckpt = str(tmp_path / "figure6.ckpt")
+    quiet_env.set(REPRO_JOBS="1")
+    clean = figure6.run(engine=EngineOptions(checkpoint=ckpt), **GRID)
+    quiet_env.set(REPRO_JOBS="2", REPRO_OBS="1",
+                  REPRO_OBS_TRACE=str(tmp_path / "trace.jsonl"))
+    resumed = figure6.run(engine=EngineOptions(checkpoint=ckpt,
+                                               resume=True), **GRID)
+    assert parallel.last_resume()["loaded"] == 4
+    assert parallel.last_resume()["executed"] == 0
+    assert _ratios(resumed) == _ratios(clean)
+
+
+def test_spec_key_hashes_result_settings():
+    spec = parallel.RunSpec("gcc", "MORC", n_instructions=5000)
+    clean = settings.Settings()
+    assert clean.result_key() == settings.Settings(
+        jobs=3, obs=True, verify=True, retries=0).result_key()
+    for changed in (settings.Settings(soft_errors=(0.01, None, None)),
+                    settings.Settings(soft_errors=(0.0, 4, None)),
+                    settings.Settings(soft_errors=(0.0, 4, 9)),
+                    settings.Settings(soft_error_policy="raw"),
+                    settings.Settings(soft_error_seed=1)):
+        assert (spec_key(0, "gcc/MORC", spec, "w", clean.result_key())
+                != spec_key(0, "gcc/MORC", spec, "w",
+                            changed.result_key()))
 
 
 # -- configuration parsing ----------------------------------------------
@@ -302,14 +356,12 @@ def test_fault_spec_parsing():
 
 
 def test_engine_env_knob_validation(quiet_env):
-    quiet_env.setenv("REPRO_RETRIES", "-1")
-    with pytest.raises(ConfigError):
-        parallel_map(_double, [1, 2], jobs=1)
-    quiet_env.setenv("REPRO_RETRIES", "2")
-    quiet_env.setenv("REPRO_CELL_TIMEOUT", "soon")
-    with pytest.raises(ConfigError):
-        parallel_map(_double, [1, 2], jobs=1)
-    quiet_env.delenv("REPRO_CELL_TIMEOUT")
+    for name, bad in (("REPRO_RETRIES", "-1"), ("REPRO_RETRIES", "x"),
+                      ("REPRO_CELL_TIMEOUT", "soon"),
+                      ("REPRO_ON_ERROR", "ignore")):
+        with pytest.raises(ConfigError, match=name):
+            settings.from_env({name: bad})
+    assert settings.from_env({"REPRO_RETRIES": " "}).retries == 2
     with pytest.raises(ConfigError):
         parallel_map(_double, [1, 2], jobs=1,
                      engine=EngineOptions(on_error="ignore"))
@@ -336,10 +388,10 @@ def test_reader_streams_lazily(tmp_path):
 def test_fault_events_surface_in_obs_summary(quiet_env, trace_path,
                                              tmp_path):
     ckpt = str(tmp_path / "grid.ckpt")
-    quiet_env.setenv("REPRO_FAULT_INJECT", "crash@0")
+    quiet_env.set(REPRO_FAULT_INJECT="crash@0")
     parallel_map(_double, [1, 2, 3], jobs=2,
                  engine=EngineOptions(on_error="skip", checkpoint=ckpt))
-    quiet_env.delenv("REPRO_FAULT_INJECT")
+    quiet_env.set(REPRO_FAULT_INJECT=None)
     parallel_map(_double, [1, 2, 3], jobs=2,
                  engine=EngineOptions(on_error="skip", checkpoint=ckpt,
                                       resume=True))

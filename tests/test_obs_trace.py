@@ -13,8 +13,9 @@ import os
 
 import pytest
 
-import repro.obs as obs
 from repro.cli import main as cli_main
+from repro.common import settings
+from repro.common.errors import ConfigError
 from repro.experiments.parallel import (
     RunSpec,
     last_timings,
@@ -30,11 +31,10 @@ from repro.sim.system import run_single_program
 
 @pytest.fixture
 def trace_path(tmp_path):
-    """Tracing on, everything restored to env defaults afterwards."""
+    """Tracing on, the previous settings restored afterwards."""
     path = tmp_path / "trace.jsonl"
-    obs.configure(enabled=True, trace_path=str(path))
-    yield str(path)
-    obs.reset()
+    with settings.override(obs=True, obs_trace=str(path)):
+        yield str(path)
 
 
 def _result_fingerprint(result):
@@ -54,6 +54,10 @@ def test_simulation_emits_all_categories(trace_path):
     kinds = {event["ev"] for event in events}
     assert {"run_start", "measure_start", "run_end", "insert",
             "ratio_sample", "compress", "queue_sample"} <= kinds
+    # provenance: the run's resolved settings ride on its run_start
+    start = next(e for e in events if e["ev"] == "run_start")
+    assert start["settings"] == settings.current().as_dict()
+    assert start["settings"]["REPRO_OBS"] is True
     # ambient context is attached to hot-path events too
     insert = next(e for e in events if e["ev"] == "insert")
     assert insert["benchmark"] == "gcc"
@@ -91,35 +95,28 @@ def test_run_context_cleared_after_run(trace_path):
 
 def test_category_filter(tmp_path):
     path = tmp_path / "filtered.jsonl"
-    obs.configure(enabled=True, trace_path=str(path),
-                  categories={"llc"})
-    try:
+    with settings.override(obs=True, obs_trace=str(path),
+                           obs_categories=frozenset({"llc"})):
         assert obs_trace.LLC is not None
         assert obs_trace.COMPRESSION is None
         assert obs_trace.MEM is None
         run_single_program("gcc", "MORC", n_instructions=3000)
-        categories = {event["cat"] for event in read_events(str(path))}
-        assert categories == {"llc"}
-    finally:
-        obs.reset()
+    assert obs_trace.LLC is None
+    categories = {event["cat"] for event in read_events(str(path))}
+    assert categories == {"llc"}
 
 
 # -- disabled: no events, identical results -----------------------------
 
 def test_disabled_emits_nothing_and_results_identical(tmp_path):
     path = tmp_path / "off.jsonl"
-    obs.configure(enabled=False, trace_path=str(path))
-    try:
+    with settings.override(obs=False, obs_trace=str(path)):
         baseline = run_single_program("gcc", "MORC", n_instructions=4000)
         assert obs_trace.tracing_active() is False
         assert not path.exists()
-    finally:
-        obs.reset()
-    obs.configure(enabled=True, trace_path=str(tmp_path / "on.jsonl"))
-    try:
+    with settings.override(obs=True,
+                           obs_trace=str(tmp_path / "on.jsonl")):
         traced = run_single_program("gcc", "MORC", n_instructions=4000)
-    finally:
-        obs.reset()
     # the tracer observes, never perturbs: bit-identical results
     assert _result_fingerprint(baseline) == _result_fingerprint(traced)
     assert baseline.metrics.miss_latencies == traced.metrics.miss_latencies
@@ -184,41 +181,62 @@ def test_cli_obs_missing_file(tmp_path, capsys):
     assert "cannot read trace" in capsys.readouterr().err
 
 
+KNOBS = ("REPRO_OBS", "REPRO_OBS_TRACE", "REPRO_OBS_CATEGORIES",
+         "REPRO_JOBS", "REPRO_SCALE", "REPRO_ON_ERROR", "REPRO_RETRIES",
+         "REPRO_CELL_TIMEOUT", "REPRO_FAULT_INJECT", "REPRO_SOFT_ERRORS",
+         "REPRO_SOFT_ERROR_POLICY", "REPRO_SOFT_ERROR_SEED", "REPRO_VERIFY")
+
+
 def test_cli_list_shows_obs_knobs(capsys):
     assert cli_main(["list"]) == 0
     output = capsys.readouterr().out
     for category in ("llc", "compression", "mem", "run", "engine"):
         assert category in output
-    for knob in ("REPRO_OBS", "REPRO_OBS_TRACE", "REPRO_OBS_CATEGORIES",
-                 "REPRO_OBS_SAMPLE", "REPRO_JOBS", "REPRO_FAST",
-                 "REPRO_SCALE"):
-        assert knob in output
+    knob_rows = output.split("environment knobs:\n", 1)[1].splitlines()
+    assert [row.split()[0] for row in knob_rows] == list(KNOBS)
+    assert list(settings.Settings().as_dict()) == list(KNOBS)
 
 
 # -- config parsing ------------------------------------------------------
 
-def test_env_parsing(monkeypatch):
-    from repro.common.errors import ConfigError
-    from repro.obs.config import load_from_env
-    monkeypatch.setenv("REPRO_OBS", "1")
-    monkeypatch.setenv("REPRO_OBS_CATEGORIES", "llc,mem")
-    monkeypatch.setenv("REPRO_OBS_SAMPLE", "8")
-    config = load_from_env()
-    assert config.enabled
-    assert config.categories == frozenset({"llc", "mem"})
-    assert config.mem_sample_interval == 8
-    assert config.category_enabled("llc")
-    assert not config.category_enabled("compression")
-    monkeypatch.setenv("REPRO_OBS_CATEGORIES", "llc,warp")
-    with pytest.raises(ConfigError):
-        load_from_env()
-    monkeypatch.setenv("REPRO_OBS_CATEGORIES", "")
-    monkeypatch.setenv("REPRO_OBS_SAMPLE", "0")
-    with pytest.raises(ConfigError):
-        load_from_env()
-    monkeypatch.setenv("REPRO_OBS_SAMPLE", "many")
-    with pytest.raises(ConfigError):
-        load_from_env()
+def test_env_parsing():
+    parsed = settings.from_env({
+        "REPRO_OBS": "1", "REPRO_OBS_TRACE": "/tmp/t.jsonl",
+        "REPRO_OBS_CATEGORIES": "llc,mem", "REPRO_JOBS": "3",
+        "REPRO_SCALE": "2", "REPRO_ON_ERROR": "Skip",
+        "REPRO_RETRIES": "4", "REPRO_CELL_TIMEOUT": "1.5",
+        "REPRO_FAULT_INJECT": "crash@2", "REPRO_SOFT_ERRORS": "@7:33",
+        "REPRO_SOFT_ERROR_POLICY": "raw", "REPRO_SOFT_ERROR_SEED": "5",
+        "REPRO_VERIFY": "yes"})
+    assert parsed == settings.Settings(
+        obs=True, obs_trace="/tmp/t.jsonl",
+        obs_categories=frozenset({"llc", "mem"}), jobs=3, scale=2.0,
+        on_error="skip", retries=4, cell_timeout=1.5,
+        fault_inject=settings.parse_fault_spec("crash@2"),
+        soft_errors=(0.0, 7, 33), soft_error_policy="raw",
+        soft_error_seed=5, verify=True)
+    assert settings.from_env({}) == settings.Settings()
+    assert settings.from_env({"REPRO_OBS": "off"}).obs is False
+    for name, bad in (("REPRO_OBS_CATEGORIES", "llc,warp"),
+                      ("REPRO_JOBS", "0"), ("REPRO_JOBS", "many"),
+                      ("REPRO_SCALE", "0"), ("REPRO_SCALE", "-1"),
+                      ("REPRO_SCALE", "nope"),
+                      ("REPRO_SOFT_ERROR_POLICY", "shrug"),
+                      ("REPRO_SOFT_ERROR_SEED", "x"),
+                      ("REPRO_FAULT_INJECT", "explode@1"),
+                      ("REPRO_SOFT_ERRORS", "@x")):
+        with pytest.raises(ConfigError, match=name):
+            settings.from_env({name: bad})
+
+
+def test_override_restores_and_rebinds_channels(tmp_path):
+    before = settings.current()
+    with settings.override(obs=True,
+                           obs_trace=str(tmp_path / "t.jsonl")) as inner:
+        assert settings.current() is inner
+        assert obs_trace.RUN is not None
+    assert settings.current() is before
+    assert obs_trace.RUN is None
 
 
 def test_entropy_classes():

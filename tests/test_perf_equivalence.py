@@ -3,7 +3,7 @@ parallel experiment engine is deterministic.
 
 Every fast path (memoised LBE measure, inlined measure loop, prefix
 lookup tables, chunked BitWriter, C-Pack/FPC memos) must produce results
-identical to the reference kernels in ``repro.perf.reference`` — same
+identical to the reference kernels in ``repro.conformance.codecs`` — same
 bit counts, same symbol streams, same committed dictionary state.  The
 corpora cover all data archetypes and the dictionaries evolve across
 lines, so freeze/capacity edge cases are exercised, not just the easy
@@ -16,14 +16,11 @@ import pytest
 
 from repro.common.bitio import BitReader, BitWriter
 from repro.common.errors import CompressionError, ConfigError
+from repro.compression.base import CompressedSize
 from repro.compression.cpack import CPackCompressor
 from repro.compression.fpc import FpcCompressor
 from repro.compression.lbe import LbeCompressor, LbeDictionary
-from repro.experiments import figure6, parallel
-from repro.experiments.runner import scale_instructions
-from repro.perf.corpus import ARCHETYPES, line_corpus, mixed_stream
-from repro.perf.fastpath import fast_paths_enabled, set_fast_paths
-from repro.perf.reference import (
+from repro.conformance.codecs import (
     ReferenceBitWriter,
     reference_cpack_bits,
     reference_cpack_tokens,
@@ -32,20 +29,16 @@ from repro.perf.reference import (
     reference_lbe_compress,
     reference_lbe_measure,
 )
-
-
-@pytest.fixture
-def fast_paths():
-    """Force fast paths on for a test, restoring the prior setting."""
-    previous = set_fast_paths(True)
-    yield
-    set_fast_paths(previous)
+from repro.experiments import figure6, parallel
+from repro.experiments.runner import scale_instructions
+from repro.perf.corpus import ARCHETYPES, line_corpus, mixed_stream
+from repro.sim.system import run_single_program
 
 
 # -- LBE ----------------------------------------------------------------
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
-def test_lbe_measure_matches_reference(archetype, fast_paths):
+def test_lbe_measure_matches_reference(archetype):
     compressor = LbeCompressor()
     fast_dict, reference_dict = LbeDictionary(), LbeDictionary()
     for index, line in enumerate(line_corpus(archetype, count=48)):
@@ -58,7 +51,7 @@ def test_lbe_measure_matches_reference(archetype, fast_paths):
             reference_lbe_compress(line, reference_dict, commit=True)
 
 
-def test_lbe_measure_memo_matches_recompute(fast_paths):
+def test_lbe_measure_memo_matches_recompute():
     compressor = LbeCompressor()
     dictionary = LbeDictionary()
     lines = mixed_stream(count=64)
@@ -73,7 +66,7 @@ def test_lbe_measure_memo_matches_recompute(fast_paths):
                 == reference_lbe_measure(line, dictionary))
 
 
-def test_lbe_compress_identical_symbol_streams(fast_paths):
+def test_lbe_compress_identical_symbol_streams():
     compressor = LbeCompressor()
     fast_dict, reference_dict = LbeDictionary(), LbeDictionary()
     for line in mixed_stream(count=96):
@@ -84,20 +77,7 @@ def test_lbe_compress_identical_symbol_streams(fast_paths):
         assert fast.size_bits == reference.size_bits
 
 
-def test_lbe_fast_paths_off_still_exact():
-    previous = set_fast_paths(False)
-    try:
-        assert not fast_paths_enabled()
-        compressor = LbeCompressor()
-        dictionary = LbeDictionary()
-        for line in mixed_stream(count=32):
-            assert (compressor.measure(line, dictionary)
-                    == reference_lbe_measure(line, dictionary))
-    finally:
-        set_fast_paths(previous)
-
-
-def test_lbe_roundtrip_through_bitstream(fast_paths):
+def test_lbe_roundtrip_through_bitstream():
     compressor = LbeCompressor()
     write_dict = LbeDictionary()
     lines = mixed_stream(count=48)
@@ -116,7 +96,7 @@ def test_lbe_roundtrip_through_bitstream(fast_paths):
 # -- C-Pack / FPC -------------------------------------------------------
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
-def test_cpack_matches_reference(archetype, fast_paths):
+def test_cpack_matches_reference(archetype):
     compressor = CPackCompressor()
     for line in line_corpus(archetype, count=48):
         tokens = compressor.compress_tokens(line)
@@ -133,7 +113,7 @@ def test_cpack_matches_reference(archetype, fast_paths):
 
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
-def test_fpc_matches_reference(archetype, fast_paths):
+def test_fpc_matches_reference(archetype):
     compressor = FpcCompressor()
     for line in line_corpus(archetype, count=48):
         tokens = compressor.compress_tokens(line)
@@ -184,12 +164,12 @@ def test_bitwriter_rejects_bad_fields():
 
 # -- parallel engine ----------------------------------------------------
 
-def test_parallel_matches_serial(monkeypatch):
+def test_parallel_matches_serial(repro_env):
     kwargs = dict(benchmarks=["gcc", "hmmer"], n_instructions=8_000,
                   schemes=("Uncompressed", "MORC"))
-    monkeypatch.setenv("REPRO_JOBS", "1")
+    repro_env.set(REPRO_JOBS="1")
     serial = figure6.run(**kwargs)
-    monkeypatch.setenv("REPRO_JOBS", "2")
+    repro_env.set(REPRO_JOBS="2")
     pooled = figure6.run(**kwargs)
     for scheme in kwargs["schemes"]:
         for a, b in zip(serial.runs[scheme], pooled.runs[scheme]):
@@ -203,26 +183,22 @@ def test_parallel_matches_serial(monkeypatch):
     assert all(t.seconds > 0 for t in timings)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "3")
+def test_worker_count_env(repro_env):
+    repro_env.set(REPRO_JOBS="3")
     assert parallel.worker_count() == 3
-    monkeypatch.delenv("REPRO_JOBS")
+    repro_env.set(REPRO_JOBS=None)
     assert parallel.worker_count() >= 1
-    monkeypatch.setenv("REPRO_JOBS", "0")
-    with pytest.raises(ConfigError):
-        parallel.worker_count()
-    monkeypatch.setenv("REPRO_JOBS", "many")
-    with pytest.raises(ConfigError):
-        parallel.worker_count()
+    for bad in ("0", "many"):
+        with pytest.raises(ConfigError):
+            repro_env.set(REPRO_JOBS=bad)
 
 
-def test_scale_instructions_rejects_bad_values(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "2")
+def test_scale_instructions_rejects_bad_values(repro_env):
+    repro_env.set(REPRO_SCALE="2")
     assert scale_instructions(10_000) == 20_000
     for bad in ("0", "-1", "nope"):
-        monkeypatch.setenv("REPRO_SCALE", bad)
         with pytest.raises(ConfigError):
-            scale_instructions(10_000)
+            repro_env.set(REPRO_SCALE=bad)
 
 
 def test_run_spec_memory_keys():
@@ -230,24 +206,28 @@ def test_run_spec_memory_keys():
         parallel._make_memory("warp", None)
 
 
-# -- slow end-to-end equivalence (excluded from tier-1 via -m perf) -----
+# -- whole-run equivalence ----------------------------------------------
 
-@pytest.mark.perf
-def test_end_to_end_fast_paths_bit_exact():
-    """A full simulation produces identical results with fast paths
-    forced off — the whole-stack version of the kernel tests above."""
-    from repro.sim.system import run_single_program
-    previous = set_fast_paths(False)
-    try:
-        reference = run_single_program("gcc", "MORC",
-                                       n_instructions=30_000)
-    finally:
-        set_fast_paths(previous)
-    previous = set_fast_paths(True)
-    try:
-        fast = run_single_program("gcc", "MORC", n_instructions=30_000)
-    finally:
-        set_fast_paths(previous)
+def test_end_to_end_reference_kernels_bit_exact(monkeypatch):
+    """A full simulation with the reference kernels patched into the
+    three memoised codecs matches the live one — the whole-stack
+    version of the kernel tests above."""
+    fast = run_single_program("gcc", "MORC", n_instructions=30_000)
+    measured = []
+
+    def measure(self, line, dictionary):
+        measured.append(line)
+        return reference_lbe_measure(line, dictionary)
+
+    monkeypatch.setattr(LbeCompressor, "measure", measure)
+    monkeypatch.setattr(
+        CPackCompressor, "compress",
+        lambda self, line: CompressedSize(reference_cpack_bits(line)))
+    monkeypatch.setattr(
+        FpcCompressor, "compress",
+        lambda self, line: CompressedSize(reference_fpc_bits(line)))
+    reference = run_single_program("gcc", "MORC", n_instructions=30_000)
+    assert measured, "MORC's trial placement must use the patched kernel"
     assert fast.compression_ratio == reference.compression_ratio
     assert fast.ipc == reference.ipc
     assert fast.symbol_counters == reference.symbol_counters

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.resilience as resilience
 from repro.cache.set_assoc import AdaptiveCache, SEGMENT_BYTES
 from repro.cache.skewed import SkewedCompressedCache
 from repro.common.config import CacheGeometry, MorcConfig
@@ -22,17 +21,16 @@ from repro.common.errors import (
 )
 from repro.morc.cache import UNCOMPRESSED_LINE_BITS, MorcCache
 from repro.resilience import verify as res_verify
-from repro.resilience.config import parse_soft_errors
+from repro.common.settings import parse_soft_errors
 from repro.resilience.faults import SoftErrorInjector, make_injector
 from repro.sim.system import run_single_program
 
 
 @pytest.fixture(autouse=True)
-def _reset_resilience():
-    """Every test starts and ends with the environment's (inert) config."""
-    resilience.reset()
-    yield
-    resilience.reset()
+def knobs(repro_env):
+    """Every test starts from inert settings; ``knobs.set(...)`` changes
+    them through the environment parser until the test ends."""
+    return repro_env
 
 
 def line(byte):
@@ -73,9 +71,9 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             parse_soft_errors(raw)
 
-    def test_configure_rejects_unknown_policy(self):
+    def test_configure_rejects_unknown_policy(self, knobs):
         with pytest.raises(ConfigError):
-            resilience.configure(policy="shrug")
+            knobs.set(REPRO_SOFT_ERROR_POLICY="shrug")
 
 
 # -- injector determinism -------------------------------------------------
@@ -126,8 +124,8 @@ class TestInjector:
 
 
 class TestMorcRecovery:
-    def test_refetch_recovers_and_reports(self):
-        resilience.configure(soft_errors="@0", policy="refetch")
+    def test_refetch_recovers_and_reports(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="refetch")
         cache = small_morc()
         cache.fill(0, line(1))
         assert cache.stats["soft_errors_injected"] == 1
@@ -141,8 +139,8 @@ class TestMorcRecovery:
         cache.fill(0, line(1))
         assert cache.read(0).hit
 
-    def test_failstop_raises_naming_the_line(self):
-        resilience.configure(soft_errors="@0:5", policy="failstop")
+    def test_failstop_raises_naming_the_line(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0:5", REPRO_SOFT_ERROR_POLICY="failstop")
         cache = small_morc()
         cache.fill(3 * 64, line(2))
         with pytest.raises(PoisonedLineError) as excinfo:
@@ -152,8 +150,8 @@ class TestMorcRecovery:
         assert "failstop" in message
         assert excinfo.value.line_address == 3
 
-    def test_raw_fallback_stores_uncompressed(self):
-        resilience.configure(soft_errors="@0", policy="raw")
+    def test_raw_fallback_stores_uncompressed(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="raw")
         cache = small_morc()
         cache.fill(0, line(3))
         assert not cache.read(0).hit  # detection refetches once
@@ -166,16 +164,16 @@ class TestMorcRecovery:
         assert entry.data_bits == UNCOMPRESSED_LINE_BITS
         assert entry.poison_bit is None  # raw copies are never injected
 
-    def test_dirty_loss_counted(self):
-        resilience.configure(soft_errors="@0", policy="refetch")
+    def test_dirty_loss_counted(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="refetch")
         cache = small_morc()
         cache.writeback(0, line(4))
         cache.read(0)
         assert cache.stats["soft_error_data_loss"] == 1
 
-    def test_detection_at_flush_does_not_write_back(self):
+    def test_detection_at_flush_does_not_write_back(self, knobs):
         import random
-        resilience.configure(soft_errors="@0", policy="refetch")
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="refetch")
         cache = small_morc(n_active_logs=1)
         rng = random.Random(0)
         cache.writeback(0, bytes(rng.getrandbits(8) for _ in range(64)))
@@ -193,8 +191,8 @@ class TestMorcRecovery:
 
 
 class TestSetAssocRecovery:
-    def test_refetch_on_read(self):
-        resilience.configure(soft_errors="@0", policy="refetch")
+    def test_refetch_on_read(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="refetch")
         cache = AdaptiveCache(CacheGeometry(8 * 64, ways=8))
         cache.fill(0, bytes(64))  # zero line compresses -> injectable
         assert cache.stats["soft_errors_injected"] == 1
@@ -203,15 +201,15 @@ class TestSetAssocRecovery:
         cache.fill(0, bytes(64))
         assert cache.read(0).hit
 
-    def test_failstop(self):
-        resilience.configure(soft_errors="@0", policy="failstop")
+    def test_failstop(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="failstop")
         cache = AdaptiveCache(CacheGeometry(8 * 64, ways=8))
         cache.fill(0, bytes(64))
         with pytest.raises(PoisonedLineError):
             cache.read(0)
 
-    def test_raw_fallback_fills_all_segments(self):
-        resilience.configure(soft_errors="@0", policy="raw")
+    def test_raw_fallback_fills_all_segments(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="raw")
         cache = AdaptiveCache(CacheGeometry(8 * 64, ways=8))
         cache.fill(0, bytes(64))
         cache.read(0)
@@ -220,8 +218,8 @@ class TestSetAssocRecovery:
         assert cache_set.lines[0].segments == 64 // SEGMENT_BYTES
         assert cache_set.lines[0].poison_bit is None
 
-    def test_uncompressed_lines_never_injected(self):
-        resilience.configure(soft_errors="@0", policy="refetch")
+    def test_uncompressed_lines_never_injected(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="refetch")
         cache = AdaptiveCache(CacheGeometry(8 * 64, ways=8))
         import os
         incompressible = os.urandom(64)
@@ -233,8 +231,8 @@ class TestSetAssocRecovery:
 
 
 class TestSkewedRecovery:
-    def test_refetch_on_read(self):
-        resilience.configure(soft_errors="@0", policy="refetch")
+    def test_refetch_on_read(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="refetch")
         cache = SkewedCompressedCache(CacheGeometry(8 * 1024, ways=8))
         cache.fill(0, bytes(64))
         assert cache.stats["soft_errors_injected"] == 1
@@ -243,16 +241,16 @@ class TestSkewedRecovery:
         cache.fill(0, bytes(64))
         assert cache.read(0).hit
 
-    def test_failstop(self):
-        resilience.configure(soft_errors="@0", policy="failstop")
+    def test_failstop(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="failstop")
         cache = SkewedCompressedCache(CacheGeometry(8 * 1024, ways=8))
         cache.fill(0, bytes(64))
         with pytest.raises(PoisonedLineError) as excinfo:
             cache.read(0)
         assert "superblock" in str(excinfo.value)
 
-    def test_raw_fallback_uses_full_entry(self):
-        resilience.configure(soft_errors="@0", policy="raw")
+    def test_raw_fallback_uses_full_entry(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="raw")
         cache = SkewedCompressedCache(CacheGeometry(8 * 1024, ways=8))
         cache.fill(0, bytes(64))
         cache.read(0)
@@ -266,55 +264,55 @@ class TestSkewedRecovery:
 
 
 class TestEndToEnd:
-    def test_run_completes_under_injection(self):
-        resilience.configure(soft_errors="1e-3", policy="refetch")
+    def test_run_completes_under_injection(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="1e-3", REPRO_SOFT_ERROR_POLICY="refetch")
         result = run_single_program("gcc", "MORC", n_instructions=20_000)
         assert result.llc_stats["soft_errors_injected"] > 0
         assert result.llc_stats["soft_errors_detected"] > 0
         assert (result.llc_stats["soft_error_recoveries"]
                 == result.llc_stats["soft_errors_detected"])
 
-    def test_injected_runs_are_deterministic(self):
-        resilience.configure(soft_errors="1e-3", policy="refetch")
+    def test_injected_runs_are_deterministic(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="1e-3", REPRO_SOFT_ERROR_POLICY="refetch")
         a = run_single_program("gcc", "MORC", n_instructions=15_000)
         b = run_single_program("gcc", "MORC", n_instructions=15_000)
         assert a.llc_stats == b.llc_stats
         assert a.ipc == b.ipc
 
-    def test_raw_policy_run_records_fallbacks(self):
-        resilience.configure(soft_errors="1e-3", policy="raw")
+    def test_raw_policy_run_records_fallbacks(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="1e-3", REPRO_SOFT_ERROR_POLICY="raw")
         result = run_single_program("gcc", "MORC", n_instructions=20_000)
         assert result.llc_stats["raw_fallbacks"] > 0
 
-    def test_baselines_complete_under_injection(self):
-        resilience.configure(soft_errors="1e-3", policy="refetch")
+    def test_baselines_complete_under_injection(self, knobs):
+        knobs.set(REPRO_SOFT_ERRORS="1e-3", REPRO_SOFT_ERROR_POLICY="refetch")
         for scheme in ("Adaptive", "Skewed"):
             result = run_single_program("gcc", scheme,
                                         n_instructions=15_000)
             assert result.llc_stats["soft_errors_injected"] > 0
 
-    def test_clean_run_bit_identical_to_default(self):
+    def test_clean_run_bit_identical_to_default(self, knobs):
         baseline = run_single_program("gcc", "MORC",
                                       n_instructions=15_000)
-        resilience.configure(soft_errors="0", policy="refetch",
-                             verify=False)
+        knobs.set(REPRO_SOFT_ERRORS="0",
+                  REPRO_SOFT_ERROR_POLICY="refetch", REPRO_VERIFY="0")
         clean = run_single_program("gcc", "MORC", n_instructions=15_000)
         assert clean.compression_ratio == baseline.compression_ratio
         assert clean.ipc == baseline.ipc
         assert clean.llc_stats == baseline.llc_stats
 
-    def test_verified_run_bit_identical(self):
+    def test_verified_run_bit_identical(self, knobs):
         baseline = run_single_program("gcc", "MORC",
                                       n_instructions=15_000)
-        resilience.configure(verify=True)
+        knobs.set(REPRO_VERIFY="1")
         verified = run_single_program("gcc", "MORC",
                                       n_instructions=15_000)
         assert verified.compression_ratio == baseline.compression_ratio
         assert verified.ipc == baseline.ipc
         assert verified.llc_stats == baseline.llc_stats
 
-    def test_verified_baselines_pass(self):
-        resilience.configure(verify=True)
+    def test_verified_baselines_pass(self, knobs):
+        knobs.set(REPRO_VERIFY="1")
         for scheme in ("Adaptive", "Decoupled", "SC2", "Skewed"):
             run_single_program("gcc", scheme, n_instructions=8_000)
 
@@ -324,16 +322,14 @@ class TestEndToEnd:
 
 class TestObservability:
     @pytest.fixture
-    def trace_path(self, tmp_path):
-        import repro.obs as obs
+    def trace_path(self, knobs, tmp_path):
         path = tmp_path / "trace.jsonl"
-        obs.configure(enabled=True, trace_path=str(path))
-        yield str(path)
-        obs.reset()
+        knobs.set(REPRO_OBS="1", REPRO_OBS_TRACE=str(path))
+        return str(path)
 
-    def test_events_emitted(self, trace_path):
+    def test_events_emitted(self, knobs, trace_path):
         from repro.obs.reader import read_all
-        resilience.configure(soft_errors="1e-3", policy="refetch")
+        knobs.set(REPRO_SOFT_ERRORS="1e-3", REPRO_SOFT_ERROR_POLICY="refetch")
         run_single_program("gcc", "MORC", n_instructions=20_000)
         events, malformed = read_all(trace_path)
         assert malformed == 0
@@ -345,9 +341,9 @@ class TestObservability:
         assert recovery["policy"] == "refetch"
         assert recovery["during"] in ("read", "flush", "evict")
 
-    def test_obs_summary_renders_resilience_section(self, trace_path):
+    def test_obs_summary_renders_resilience_section(self, knobs, trace_path):
         from repro.cli import main as cli_main
-        resilience.configure(soft_errors="1e-3", policy="refetch")
+        knobs.set(REPRO_SOFT_ERRORS="1e-3", REPRO_SOFT_ERROR_POLICY="refetch")
         run_single_program("gcc", "MORC", n_instructions=20_000)
         from repro.obs.summary import render, summarize
         text = render(summarize(trace_path))
@@ -403,8 +399,8 @@ class TestAuditor:
         with pytest.raises(VerificationError):
             res_verify.audit(cache)
 
-    def test_audit_runs_from_sample_ratio_when_enabled(self):
-        resilience.configure(verify=True)
+    def test_audit_runs_from_sample_ratio_when_enabled(self, knobs):
+        knobs.set(REPRO_VERIFY="1")
         cache = small_morc()
         cache.fill(0, line(1))
         cache.sample_ratio()  # healthy: no raise
@@ -412,8 +408,8 @@ class TestAuditor:
         with pytest.raises(VerificationError):
             cache.sample_ratio()
 
-    def test_roundtrip_verification_catches_bad_codec(self):
-        resilience.configure(verify=True)
+    def test_roundtrip_verification_catches_bad_codec(self, knobs):
+        knobs.set(REPRO_VERIFY="1")
 
         class LyingCodec:
             name = "liar"
