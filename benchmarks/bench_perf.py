@@ -2,11 +2,10 @@
 
 Times the optimised compression kernels against their reference
 implementations (``repro.conformance.codecs``), plus an observability
-leg (``REPRO_OBS`` off vs on), a robustness leg (``REPRO_FAULT_INJECT``
-crashing 10% of cells, then a checkpoint resume that must match a
-fault-free run bit-for-bit) and a verification leg, then writes the
-measurements to ``BENCH_perf.json``.  End-to-end simulator speed is
-measured by ``perfbench/run.py``.
+leg (``REPRO_OBS`` off vs on) and a verification leg (``REPRO_VERIFY``
+and soft errors), then writes the measurements, with the resolved
+``REPRO_*`` settings they ran under, to ``BENCH_perf.json``.  End-to-end
+simulator speed is measured by ``perfbench/run.py``.
 
 Every optimisation is bit-exact (enforced by
 ``tests/test_perf_equivalence.py``), so these numbers are pure speed:
@@ -33,6 +32,7 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from repro.common import settings                         # noqa: E402
 from repro.common.bitio import BitWriter                   # noqa: E402
 from repro.compression.cpack import CPackCompressor        # noqa: E402
 from repro.compression.fpc import FpcCompressor            # noqa: E402
@@ -43,7 +43,7 @@ from repro.conformance.codecs import (                     # noqa: E402
     reference_fpc_bits,
     reference_lbe_measure,
 )
-from repro.perf.corpus import mixed_stream                 # noqa: E402
+from repro.conformance.corpus import mixed_stream          # noqa: E402
 
 #: active logs trialled per fill in the MORC cache (morc/cache.py)
 TRIAL_LOGS = 8
@@ -162,101 +162,6 @@ def _figure_leg(benchmarks, n_instructions, schemes, jobs: int,
     return json.loads(output.strip().splitlines()[-1])
 
 
-_ROBUSTNESS_SNIPPET = """\
-import json, sys, time
-sys.path.insert(0, {src!r})
-from repro.common.errors import CellError
-from repro.experiments import figure6, parallel
-from repro.experiments.parallel import EngineOptions
-started = time.perf_counter()
-result = figure6.run(benchmarks={benchmarks!r},
-                     n_instructions={n_instructions},
-                     schemes={schemes!r},
-                     engine=EngineOptions(on_error="skip",
-                                          checkpoint={checkpoint!r},
-                                          resume={resume!r}))
-elapsed = time.perf_counter() - started
-failed = sum(1 for runs in result.runs.values() for cell in runs
-             if isinstance(cell, CellError))
-ratios = None
-if not failed:
-    ratios = {{scheme: [round(r.compression_ratio, 6) for r in runs]
-              for scheme, runs in result.runs.items()}}
-print(json.dumps({{"elapsed_s": elapsed, "failed": failed,
-                  "ratios": ratios, "resume": parallel.last_resume()}}))
-"""
-
-
-def _robustness_leg(benchmarks, n_instructions, schemes, checkpoint,
-                    resume: bool, fault: str) -> dict:
-    env = dict(os.environ)
-    env["REPRO_OBS"] = "0"
-    env["REPRO_JOBS"] = str(max(1, os.cpu_count() or 1))
-    if fault:
-        env["REPRO_FAULT_INJECT"] = fault
-    else:
-        env.pop("REPRO_FAULT_INJECT", None)
-    snippet = _ROBUSTNESS_SNIPPET.format(
-        src=str(SRC), benchmarks=list(benchmarks),
-        n_instructions=n_instructions, schemes=tuple(schemes),
-        checkpoint=checkpoint, resume=resume)
-    output = subprocess.run(
-        [sys.executable, "-c", snippet], env=env, check=True,
-        capture_output=True, text=True).stdout
-    return json.loads(output.strip().splitlines()[-1])
-
-
-def bench_robustness(benchmarks, n_instructions, schemes) -> dict:
-    """Crash 10% of the grid, finish, resume, and assert bit-exactness.
-
-    The acceptance scenario for the fault-tolerant engine: with
-    ``REPRO_FAULT_INJECT`` crashing every 10th cell a figure-6 grid
-    still completes (failed cells reported as ``CellError``), and a
-    subsequent ``--resume`` run re-runs only those cells and matches a
-    fault-free serial run bit-for-bit.
-    """
-    import tempfile
-    clean = _figure_leg(benchmarks, n_instructions, schemes, jobs=1)
-    handle, ckpt = tempfile.mkstemp(suffix=".ckpt",
-                                    prefix="repro_robust_")
-    os.close(handle)
-    os.unlink(ckpt)  # the engine creates and appends to it
-    try:
-        faulted = _robustness_leg(benchmarks, n_instructions, schemes,
-                                  ckpt, resume=False, fault="crash@10%")
-        if faulted["failed"] < 1:
-            raise AssertionError("crash@10% injected no failures — the "
-                                 "fault hook is not firing")
-        resumed = _robustness_leg(benchmarks, n_instructions, schemes,
-                                  ckpt, resume=True, fault="")
-    finally:
-        if os.path.exists(ckpt):
-            os.unlink(ckpt)
-    if resumed["failed"]:
-        raise AssertionError("resume with faults off still failed cells")
-    if resumed["ratios"] != clean["ratios"]:
-        raise AssertionError("resumed grid diverged from the fault-free "
-                             "run: merged results must be bit-exact")
-    stats = resumed["resume"] or {}
-    if stats.get("executed") != faulted["failed"]:
-        raise AssertionError(
-            f"resume re-ran {stats.get('executed')} cells but "
-            f"{faulted['failed']} failed — it must re-run exactly the "
-            f"missing ones")
-    return {
-        "benchmarks": list(benchmarks),
-        "schemes": list(schemes),
-        "n_instructions": n_instructions,
-        "fault": "crash@10%",
-        "failed_cells": faulted["failed"],
-        "faulted_s": faulted["elapsed_s"],
-        "resume_s": resumed["elapsed_s"],
-        "resume_loaded": stats.get("loaded"),
-        "resume_executed": stats.get("executed"),
-        "bit_exact": True,
-    }
-
-
 def bench_verify(benchmarks, n_instructions, schemes) -> dict:
     """Cost of the data-plane resilience features on a figure-6 grid.
 
@@ -333,13 +238,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized corpora and grid (<60s)")
-    parser.add_argument("--robustness-only", action="store_true",
-                        help="run only the fault-injection/resume leg "
-                             "(CI fault-tolerance smoke)")
-    parser.add_argument("--verify-only", action="store_true",
-                        help="run only the resilience leg: obs-off vs "
-                             "REPRO_VERIFY=1 vs soft errors at 1e-4 "
-                             "(CI resilience smoke)")
     parser.add_argument("-o", "--output",
                         default=str(REPO_ROOT / "BENCH_perf.json"),
                         help="where to write the JSON trajectory")
@@ -359,37 +257,6 @@ def main(argv=None) -> int:
         grid = dict(benchmarks=("gcc", "hmmer", "mcf", "soplex"),
                     n_instructions=60_000,
                     schemes=("MORC", "MORCMerged", "MORC-CPack"))
-
-    if args.verify_only:
-        verify = bench_verify(**grid)
-        print(f"verify: base {verify['base_s']:.2f}s, REPRO_VERIFY=1 "
-              f"{verify['verify_s']:.2f}s "
-              f"({verify['verify_overhead_pct']:+.1f}%, bit-exact), "
-              f"soft errors@1e-4 {verify['soft_errors_s']:.2f}s "
-              f"({verify['soft_errors_overhead_pct']:+.1f}%)")
-        output = Path(args.output)
-        payload = {"mode": "verify", "host_cpus": os.cpu_count()}
-        if output.exists():
-            try:  # fold into an existing trajectory rather than clobber
-                payload = json.loads(output.read_text())
-            except (OSError, ValueError):
-                pass
-        payload["verify"] = verify
-        output.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {output}")
-        return 0
-
-    if args.robustness_only:
-        robustness = bench_robustness(**grid)
-        print(f"robustness: {robustness['failed_cells']} injected "
-              f"failures, resume re-ran "
-              f"{robustness['resume_executed']} cells  (bit-exact)")
-        output = Path(args.output)
-        output.write_text(json.dumps(
-            {"mode": "robustness", "host_cpus": os.cpu_count(),
-             "robustness": robustness}, indent=2) + "\n")
-        print(f"wrote {output}")
-        return 0
 
     print(f"kernel corpora: {len(corpus)} lines"
           f" ({'quick' if args.quick else 'full'} mode)")
@@ -412,11 +279,6 @@ def main(argv=None) -> int:
           f"({observability['overhead_pct']:+.1f}%, "
           f"{observability['events']} events, bit-exact)")
 
-    robustness = bench_robustness(**grid)
-    print(f"  fault injection: {robustness['failed_cells']} crashed "
-          f"cells reported, resume re-ran "
-          f"{robustness['resume_executed']}  (bit-exact)")
-
     verify = bench_verify(**grid)
     print(f"  verify on {verify['verify_s']:.2f}s "
           f"({verify['verify_overhead_pct']:+.1f}%, bit-exact), "
@@ -426,9 +288,11 @@ def main(argv=None) -> int:
     payload = {
         "mode": "quick" if args.quick else "full",
         "host_cpus": os.cpu_count(),
+        # the harness's resolved knobs; each figure leg's subprocess
+        # then sets its own REPRO_JOBS/REPRO_OBS/REPRO_VERIFY/soft errors
+        "settings": settings.current().as_dict(),
         "kernels": kernels,
         "observability": observability,
-        "robustness": robustness,
         "verify": verify,
     }
     output = Path(args.output)

@@ -99,10 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="resume from checkpoint PATH, re-running only "
                  "missing/failed cells (implies --checkpoint PATH)")
         experiment_parser.add_argument(
-            "--on-error", dest="on_error", default=None,
-            choices=("raise", "skip", "retry"),
-            help="what a failed cell does to the grid "
-                 "(default REPRO_ON_ERROR or raise)")
+            "--on-error", dest="on_error", default="raise",
+            choices=("raise", "skip"),
+            help="what a failed cell does to the grid: abort it "
+                 "(raise, the default) or leave a failure in its slot "
+                 "(skip)")
 
     report_parser = subparsers.add_parser(
         "report", help="run the full evaluation and write a markdown "
@@ -192,8 +193,8 @@ def _command_experiment(name: str, args: argparse.Namespace) -> int:
         kwargs[key] = args.instructions
     checkpoint = (getattr(args, "resume", None)
                   or getattr(args, "checkpoint", None))
-    on_error = getattr(args, "on_error", None)
-    if checkpoint or on_error:
+    on_error = getattr(args, "on_error", "raise")
+    if checkpoint or on_error != "raise":
         from repro.experiments.parallel import EngineOptions
         kwargs["engine"] = EngineOptions(
             on_error=on_error, checkpoint=checkpoint,
@@ -202,7 +203,7 @@ def _command_experiment(name: str, args: argparse.Namespace) -> int:
     from repro.experiments import parallel
     errors = parallel.last_errors()
     if errors:
-        # Under --on-error skip/retry the grid completed around the
+        # Under --on-error skip the grid completed around the
         # failed cells, but the table math can't aggregate CellError
         # slots — report the failures instead of a traceback.
         print(f"{len(errors)} cell(s) failed; partial results "

@@ -6,7 +6,7 @@ callers can catch library failures without catching unrelated bugs.
 :class:`CellError` is not an exception: it is the structured *record* of
 a failed experiment-engine cell (see
 :mod:`repro.experiments.parallel`), returned in the cell's result slot
-when the engine runs with ``on_error="skip"``/``"retry"`` so one
+when the engine runs with ``on_error="skip"`` so one
 poisoned cell cannot throw away the rest of a grid.
 """
 
@@ -103,12 +103,10 @@ class CellError:
     label: str
     exception: str
     traceback: str
-    attempts: int
     kind: str = "error"
 
     def summary(self) -> str:
-        return (f"{self.label}: {self.kind} after {self.attempts} "
-                f"attempt(s): {self.exception}")
+        return f"{self.label}: {self.kind}: {self.exception}"
 
 
 class CellFailedError(ReproError):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
                     Optional, Tuple)
 
@@ -33,36 +33,10 @@ from repro.common.errors import ConfigError
 ALL_CATEGORIES: Tuple[str, ...] = ("llc", "compression", "mem", "run",
                                    "engine", "resilience")
 
-#: what the engine does with a cell whose worker raised
-ON_ERROR_MODES = ("raise", "skip", "retry")
-
-#: fault-injection modes understood by ``REPRO_FAULT_INJECT``
-FAULT_MODES = ("crash", "flaky", "hang", "kill")
-
 #: what a detected soft error does (``REPRO_SOFT_ERROR_POLICY``)
 RECOVERY_POLICIES = ("refetch", "raw", "failstop")
 
 _FALSY = ("", "0", "false", "no", "off")
-
-
-@dataclass(frozen=True)
-class FaultDirective:
-    """One parsed ``REPRO_FAULT_INJECT`` directive.
-
-    ``selector`` is ``"index"`` (fire on exactly ``value``) or
-    ``"stride"`` (fire on every ``value``-th cell — ``crash@10%`` parses
-    to stride 10, i.e. 10% of cells, deterministically by index).
-    """
-
-    mode: str
-    selector: str
-    value: int
-    arg: float = 0.0
-
-    def matches(self, index: int) -> bool:
-        if self.selector == "index":
-            return index == self.value
-        return index % self.value == 0
 
 
 def _knob(env: str, default: str, text: str, result: bool = False) -> dict:
@@ -86,19 +60,9 @@ class Settings:
         "REPRO_JOBS", "cpu count", "experiment worker processes"))
     scale: float = field(default=1.0, metadata=_knob(
         "REPRO_SCALE", "1", "scale factor for default instruction counts"))
-    on_error: str = field(default="raise", metadata=_knob(
-        "REPRO_ON_ERROR", "raise", "failed-cell policy: raise, skip or "
-        "retry"))
-    retries: int = field(default=2, metadata=_knob(
-        "REPRO_RETRIES", "2", "retry attempts per cell under "
-        "on_error=retry"))
     cell_timeout: float = field(default=0.0, metadata=_knob(
         "REPRO_CELL_TIMEOUT", "0 = off", "per-cell wall-clock timeout "
         "seconds, pool mode"))
-    fault_inject: Tuple[FaultDirective, ...] = field(
-        default=(), metadata=_knob(
-            "REPRO_FAULT_INJECT", "none", "deterministic fault injection, "
-            "e.g. crash@10%,flaky@1,hang@0:1.5,kill@3"))
     #: ``(rate, index, bit)`` from :func:`parse_soft_errors`
     soft_errors: Tuple[float, Optional[int], Optional[int]] = field(
         default=(0.0, None, None), metadata=_knob(
@@ -130,8 +94,6 @@ def _plain(value: object) -> object:
         return sorted(value)
     if isinstance(value, tuple):
         return [_plain(item) for item in value]
-    if is_dataclass(value):
-        return asdict(value)
     return value
 
 
@@ -150,17 +112,16 @@ def _choice(name: str, raw: str, choices: Tuple[str, ...]) -> str:
     return value
 
 
-def _number(env: Mapping[str, str], name: str, default: float,
-            minimum: float, cast: Callable[[str], float]) -> float:
-    raw = env.get(name)
-    if raw is None or not raw.strip():
-        return default
+def _timeout(raw: str) -> float:
+    if not raw.strip():
+        return 0.0
     try:
-        value = cast(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"{name} must be numeric, got {raw!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum:g}, got {raw!r}")
+        raise ConfigError(
+            f"REPRO_CELL_TIMEOUT must be numeric, got {raw!r}")
+    if value < 0:
+        raise ConfigError(f"REPRO_CELL_TIMEOUT must be >= 0, got {raw!r}")
     return value
 
 
@@ -203,37 +164,6 @@ def _seed(raw: str) -> int:
     except ValueError:
         raise ConfigError(
             f"REPRO_SOFT_ERROR_SEED must be an integer, got {raw!r}")
-
-
-def parse_fault_spec(raw: str) -> Tuple[FaultDirective, ...]:
-    """Parse ``REPRO_FAULT_INJECT``: comma-separated ``mode@index[:arg]``
-    or ``mode@N%`` directives, mode in :data:`FAULT_MODES`."""
-    directives: List[FaultDirective] = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        mode, at, rest = token.partition("@")
-        selector, _, argtext = rest.partition(":")
-        try:
-            if mode not in FAULT_MODES or not at or not selector:
-                raise ValueError
-            arg = float(argtext) if argtext else 0.0
-            if selector.endswith("%"):
-                percent = int(selector[:-1])
-                if not 0 < percent <= 100:
-                    raise ValueError
-                directives.append(FaultDirective(
-                    mode, "stride", max(1, round(100 / percent)), arg))
-            else:
-                directives.append(FaultDirective(
-                    mode, "index", int(selector), arg))
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_FAULT_INJECT directive {token!r} is not "
-                f"mode@index[:arg] or mode@N% with mode in "
-                f"{list(FAULT_MODES)}")
-    return tuple(directives)
 
 
 def parse_soft_errors(
@@ -288,12 +218,7 @@ def from_env(environ: Optional[Mapping[str, str]] = None) -> Settings:
         obs_categories=_categories(env.get("REPRO_OBS_CATEGORIES", "")),
         jobs=_jobs(env.get("REPRO_JOBS")),
         scale=_scale(env.get("REPRO_SCALE", "1")),
-        on_error=_choice("REPRO_ON_ERROR",
-                         env.get("REPRO_ON_ERROR", "").strip() or "raise",
-                         ON_ERROR_MODES),
-        retries=int(_number(env, "REPRO_RETRIES", 2, 0, int)),
-        cell_timeout=_number(env, "REPRO_CELL_TIMEOUT", 0.0, 0.0, float),
-        fault_inject=parse_fault_spec(env.get("REPRO_FAULT_INJECT", "")),
+        cell_timeout=_timeout(env.get("REPRO_CELL_TIMEOUT", "")),
         soft_errors=parse_soft_errors(env.get("REPRO_SOFT_ERRORS")),
         soft_error_policy=_choice(
             "REPRO_SOFT_ERROR_POLICY",

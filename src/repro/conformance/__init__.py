@@ -10,7 +10,9 @@ evictions, latencies and bits at every step.
 The references trade every optimisation for obviousness: occupancies are
 recomputed by summation, victims by linear scan, FCFS scheduling from the
 full event history.  Agreement with them is the correctness floor the
-ROADMAP's perf work refactors against.
+ROADMAP's perf work refactors against.  The codec kernels' references
+live in :mod:`repro.conformance.codecs`, and the deterministic cache-line
+corpora they are checked on in :mod:`repro.conformance.corpus`.
 
 Entry points: ``repro check [--quick|--deep] [--seed N]`` (CLI) and the
 ``tests/test_conformance_*.py`` pytest suite (marker ``conformance``).

@@ -5,7 +5,7 @@ hot paths were optimised, preserved verbatim in behaviour — the codec
 counterpart of the cache and channel models in
 :mod:`repro.conformance.reference`.  ``tests/test_perf_equivalence.py``
 asserts the optimised kernels produce identical ``(bits, symbols)`` on
-the :mod:`repro.perf.corpus` corpora, and patches these kernels into
+the :mod:`repro.conformance.corpus` corpora, and patches these kernels into
 the live codecs for a whole-run comparison; ``benchmarks/bench_perf.py``
 times them against the optimised paths.
 

@@ -16,8 +16,8 @@ processes.  A cell is replayed only into a grid that would compute the
 same result for it: change the spec, the worker or a setting that moves
 simulated bits (the soft-error model) and the cell re-runs.  Settings
 that cannot change a result (worker count, tracing, verification, the
-engine's fault/retry/timeout knobs) are left out of the key on purpose,
-so a sweep crashed by injected faults still resumes clean.  What the key
+cell timeout) are left out of the key on purpose, so a sweep can be
+resumed with more workers or with tracing on.  What the key
 cannot see — the simulator's own code — is on the user: a checkpoint
 resumed after the code changed replays the old code's cells.
 
@@ -41,7 +41,7 @@ from typing import Any, BinaryIO, Dict, Optional
 #: bumped whenever the journal frame layout or the key's inputs change,
 #: so an old checkpoint can never be misread as a new one (it hashes
 #: into keys)
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def spec_key(index: int, label: str, item: Any, worker: str = "",

@@ -24,7 +24,6 @@ from repro.experiments.runner import (
     instructions_for,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.throughput import coarse_grain_throughput
 
 EXTENSION_BENCHMARKS = ("gcc", "mcf", "h264ref", "soplex", "cactusADM")
@@ -39,7 +38,6 @@ class ExtensionResult:
     banked_vs_simple: Dict[str, List[float]] = field(default_factory=dict)
 
 
-@timed_experiment("extensions")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         engine: Optional[EngineOptions] = None) -> ExtensionResult:

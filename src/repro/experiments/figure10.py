@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     geomean,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.throughput import coarse_grain_throughput
 
 SCHEMES = ("Adaptive", "Decoupled", "SC2", "MORC")
@@ -44,7 +43,6 @@ class FigureTenResult:
         default_factory=dict)
 
 
-@timed_experiment("figure10")
 def run(benchmarks: Optional[Sequence[str]] = None,
         bandwidths_mb_s: Sequence[float] = BANDWIDTHS_MB_S,
         n_instructions: Optional[int] = None,

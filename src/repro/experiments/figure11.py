@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     geomean,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.throughput import coarse_grain_throughput
 
 CACHE_SIZES_KB = (64, 128, 256, 1024, 4096)
@@ -38,7 +37,6 @@ class FigureElevenResult:
     normalized_throughput: List[float] = field(default_factory=list)
 
 
-@timed_experiment("figure11")
 def run(benchmarks: Optional[Sequence[str]] = None,
         sizes_kb: Sequence[int] = CACHE_SIZES_KB,
         n_instructions: Optional[int] = None,

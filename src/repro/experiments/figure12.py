@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 
 @dataclass
@@ -34,7 +33,6 @@ class InvalidRatioOutcome:
     non_inclusive_pct: float
 
 
-@timed_experiment("figure12")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,

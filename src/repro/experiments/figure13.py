@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 LOG_SIZES = (64, 256, 512, 1024, 2048, 4096)
 ACTIVE_LOG_COUNTS = (1, 4, 8, 16, 32, 64)
@@ -41,7 +40,6 @@ class FigureThirteenResult:
     by_active_logs: Dict[int, List[float]] = field(default_factory=dict)
 
 
-@timed_experiment("figure13")
 def run(benchmarks: Optional[Sequence[str]] = None,
         log_sizes: Sequence[int] = LOG_SIZES,
         active_counts: Sequence[int] = ACTIVE_LOG_COUNTS,

@@ -20,7 +20,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 #: (label, inclusive upper bound in decompressed bytes)
 BINS: Tuple[Tuple[str, float], ...] = (
@@ -52,7 +51,6 @@ def bin_histogram(histogram: Dict[int, int]) -> Dict[str, float]:
     return binned
 
 
-@timed_experiment("figure14")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,

@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 
 @dataclass
@@ -33,7 +32,6 @@ class MergedOutcome:
     merged_ratio: float
 
 
-@timed_experiment("figure15")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,

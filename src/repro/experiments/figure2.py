@@ -27,7 +27,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.workloads.spec import make_trace
 
 SAMPLE_EVERY = 4096  # accesses between compression-ratio samples
@@ -78,7 +77,6 @@ def _oracle_cell(cell: tuple) -> tuple:
     return _run_oracle(benchmark, n_instructions, cache)
 
 
-@timed_experiment("figure2")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         engine: Optional[EngineOptions] = None) -> List[OracleOutcome]:

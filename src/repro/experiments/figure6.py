@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.system import SingleRunResult
 from repro.sim.throughput import ipc_improvement, throughput_improvement
 
@@ -61,7 +60,6 @@ class FigureSixResult:
                 for scheme in COMPRESSED}
 
 
-@timed_experiment("figure6")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,

@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 #: figure column order; zX folds into the matching mX column
 COLUMNS = ("m256", "m128", "m64", "m32", "u32", "u16", "u8")
@@ -39,7 +38,6 @@ class SymbolDistribution:
     zero_portion: Dict[str, float]  # column -> fraction of bytes (zeros)
 
 
-@timed_experiment("figure7")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,

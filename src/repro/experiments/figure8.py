@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     DEFAULT_MULTI_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.system import MultiProgramResult
 from repro.workloads.mixes import ALL_MULTI_WORKLOADS
 
@@ -75,7 +74,6 @@ class FigureEightResult:
             for scheme in COMPRESSED}
 
 
-@timed_experiment("figure8")
 def run(mixes: Optional[Sequence[str]] = None,
         n_instructions_each: Optional[int] = None,
         config: Optional[SystemConfig] = None,

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 from repro.sim.energy import EnergyBreakdown
 from repro.sim.system import SingleRunResult
 
@@ -56,7 +55,6 @@ class FigureNineResult:
         return sum(savings) / len(savings) if savings else 0.0
 
 
-@timed_experiment("figure9")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         config: Optional[SystemConfig] = None,

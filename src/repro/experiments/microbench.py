@@ -19,7 +19,6 @@ from repro.experiments.parallel import EngineOptions, parallel_map
 from repro.experiments.report import series_table
 from repro.experiments.runner import scale_instructions
 from repro.mem.controller import MemoryChannel
-from repro.perf.timing import timed_experiment
 from repro.sim.core import CoreSimulator
 from repro.sim.system import make_llc
 from repro.workloads.micro import MICROBENCHMARKS, make_micro_trace
@@ -49,7 +48,6 @@ def _micro_cell(cell: tuple) -> tuple:
             metrics.llc_misses / accesses if accesses else 0.0)
 
 
-@timed_experiment("microbench")
 def run(micros: Optional[Sequence[str]] = None,
         n_instructions: Optional[int] = None,
         schemes: Sequence[str] = SCHEMES,

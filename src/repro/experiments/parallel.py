@@ -13,21 +13,21 @@ Guarantees:
   a serial one;
 - **deterministic content** — each cell builds its own trace from seeds
   carried in the spec; nothing depends on which worker runs it or when;
-- **graceful serial fallback** — ``REPRO_JOBS=1`` (or a single-cell
-  grid, or a host without ``fork``) runs everything in-process with no
-  executor, which also keeps pdb/profilers usable;
+- **serial path** — ``REPRO_JOBS=1`` (or a grid with at most one cell
+  left to run) runs everything in-process with no executor, which also
+  keeps pdb/profilers usable;
 - **per-cell timing** — every cell reports its wall-clock, worker pid,
   queue wait, and worker peak RSS; :func:`last_timings` and
   :func:`last_worker_profiles` expose them for ``BENCH_perf.json`` and
   the ``engine`` trace category;
 - **fault tolerance** — a worker exception becomes a structured
   :class:`~repro.common.errors.CellError` in that cell's result slot
-  instead of aborting the grid (``on_error="skip"``/``"retry"``), cells
-  can be retried with exponential backoff plus deterministic jitter
-  (``REPRO_RETRIES``, :data:`RETRY_BACKOFF_S`) and bounded by a per-cell
-  wall-clock timeout (``REPRO_CELL_TIMEOUT``, pool mode only), and a
-  dead pool (``BrokenProcessPool``: a worker was OOM-killed or crashed
-  hard) escalates to a graceful serial re-run of the unfinished cells;
+  instead of aborting the grid (``on_error="skip"``), a per-cell
+  wall-clock timeout (``REPRO_CELL_TIMEOUT``, pool mode only) bounds a
+  hung cell, and a dead pool (``BrokenProcessPool``: a worker was
+  OOM-killed or crashed hard) escalates to a serial re-run of the
+  unfinished cells.  Cells are pure, so a cell that raised would raise
+  again: failures are never retried;
 - **resumability** — with :class:`EngineOptions.checkpoint` set, every
   finished cell is journaled (:mod:`repro.experiments.checkpoint`);
   ``resume=True`` replays completed cells from the journal and re-runs
@@ -40,19 +40,13 @@ Guarantees:
   result-affecting fields are part of every checkpoint key, so a
   journal is never replayed into a run whose soft-error model differs.
 
-``REPRO_JOBS`` overrides the worker count.  ``REPRO_FAULT_INJECT``
-(``crash@2,flaky@1,hang@0:1.5,kill@3,crash@10%``) deterministically
-injects faults per cell index for the robustness tests and
-``bench_perf``'s robustness leg.
+``REPRO_JOBS`` overrides the worker count.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import heapq
 import os
-import random
 import time
 import traceback
 from collections import deque
@@ -65,23 +59,17 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional,
 from repro.common import settings
 from repro.common.config import SystemConfig
 from repro.common.errors import CellError, CellFailedError, ConfigError
-from repro.common.settings import ON_ERROR_MODES, FaultDirective, Settings
+from repro.common.settings import Settings
 from repro.experiments.checkpoint import GridCheckpoint, spec_key
 from repro.obs import trace as obs_trace
 from repro.obs.profiling import WorkerProfile, peak_rss_kb, worker_profiles
-from repro.perf.timing import CellTiming
 
 #: memory-channel selector carried by :class:`RunSpec` (a key, not an
 #: instance, so specs stay small and picklable)
 MEMORY_CHANNELS = ("simple", "link", "banked")
 
-#: base retry backoff in seconds, doubled per attempt plus jitter
-RETRY_BACKOFF_S = 0.05
-
-#: pid of the process that imported this module (the grid parent under
-#: ``fork``); lets injected ``kill`` faults refuse to kill the parent
-#: when a poisoned cell is re-run serially
-_MAIN_PID = os.getpid()
+#: what the engine does with a cell whose worker raised
+ON_ERROR_MODES = ("raise", "skip")
 
 
 @dataclass(frozen=True)
@@ -121,42 +109,43 @@ class MultiProgramSpec:
 
 
 @dataclass(frozen=True)
+class CellTiming:
+    """Wall-clock of one simulation cell, as measured in its worker.
+
+    ``seconds`` brackets only the cell's worker call.  ``queue_wait_s``
+    is how long the cell sat in the pool's inbox before its worker
+    picked it up; ``peak_rss_kb`` is the worker's resident-set
+    high-water mark after the cell (see :mod:`repro.obs.profiling`).
+    """
+
+    label: str
+    seconds: float
+    worker_pid: int
+    queue_wait_s: float = 0.0
+    peak_rss_kb: int = 0
+
+
+@dataclass(frozen=True)
 class EngineOptions:
     """Per-invocation fault-tolerance knobs, threaded through every
     experiment module's ``run(engine=...)``.
 
-    ``on_error=None`` falls back to ``REPRO_ON_ERROR`` (default
-    ``"raise"``, the historical abort-the-grid behaviour).  With a
+    ``on_error`` is one of :data:`ON_ERROR_MODES`: ``"raise"`` aborts
+    the grid on the first failed cell, ``"skip"`` leaves a
+    :class:`~repro.common.errors.CellError` in its slot.  With a
     ``checkpoint`` path every finished cell is journaled; ``resume=True``
     additionally replays previously completed cells from that journal
     and re-runs only missing/failed ones.
     """
 
-    on_error: Optional[str] = None
+    on_error: str = "raise"
     checkpoint: Optional[str] = None
     resume: bool = False
-
-
-class FaultInjected(Exception):
-    """Raised by a deterministically injected fault (tests/benches)."""
 
 
 def worker_count() -> int:
     """Number of worker processes (``REPRO_JOBS`` or the CPU count)."""
     return settings.current().jobs or max(1, os.cpu_count() or 1)
-
-
-def retry_delay(label: str, attempt: int, backoff_s: float) -> float:
-    """Exponential backoff plus deterministic jitter for one retry.
-
-    Jitter is seeded from (label, attempt) — not process state — so a
-    retried grid is reproducible run-to-run and across fork/spawn.
-    """
-    seed = int.from_bytes(
-        hashlib.sha256(f"{label}|{attempt}".encode("utf-8")).digest()[:8],
-        "big")
-    jitter = random.Random(seed).uniform(0.0, backoff_s)
-    return backoff_s * (2 ** (attempt - 1)) + jitter
 
 
 def _make_memory(key: Optional[str], config: SystemConfig):
@@ -175,12 +164,11 @@ def _make_memory(key: Optional[str], config: SystemConfig):
                       f"choose from {MEMORY_CHANNELS}")
 
 
-def _execute_single(spec: RunSpec) -> Tuple[Any, float, int]:
-    """Run one cell; returns ``(result, seconds, worker pid)``."""
+def _execute_single(spec: RunSpec) -> Any:
+    """Run one single-program cell."""
     from repro.sim.system import run_single_program
     config = spec.config or SystemConfig()
-    started = time.perf_counter()
-    result = run_single_program(
+    return run_single_program(
         spec.benchmark, spec.scheme, config=config,
         n_instructions=spec.n_instructions,
         warmup_fraction=spec.warmup_fraction,
@@ -188,76 +176,49 @@ def _execute_single(spec: RunSpec) -> Tuple[Any, float, int]:
         compression_enabled=spec.compression_enabled,
         memory=_make_memory(spec.memory, config),
         seed_offset=spec.seed_offset)
-    return result, time.perf_counter() - started, os.getpid()
 
 
-def _execute_multi(spec: MultiProgramSpec) -> Tuple[Any, float, int]:
-    """Run one multi-program cell; returns ``(result, seconds, pid)``."""
+def _execute_multi(spec: MultiProgramSpec) -> Any:
+    """Run one multi-program cell."""
     from repro.sim.system import run_multi_program
-    started = time.perf_counter()
-    result = run_multi_program(
+    return run_multi_program(
         spec.mix, spec.scheme, config=spec.config,
         n_instructions_each=spec.n_instructions_each,
         synchronized=spec.synchronized)
-    return result, time.perf_counter() - started, os.getpid()
 
 
-def _timed_apply(fn: Callable[[Any], Any], item: Any) -> Tuple[Any, float,
-                                                               int]:
-    started = time.perf_counter()
-    return fn(item), time.perf_counter() - started, os.getpid()
+def _guarded(worker: Callable[[Any], Any],
+             payload: Tuple[float, str, Settings, Any]
+             ) -> Tuple[Any, CellTiming]:
+    """Run one cell in its worker, capturing failure as data.
 
-
-def _apply_fault(fault: FaultDirective, index: int, attempt: int) -> None:
-    """Fire one injected fault inside the worker, deterministically."""
-    if fault.mode == "crash":
-        raise FaultInjected(f"injected crash in cell {index}")
-    if fault.mode == "flaky" and attempt == 1:
-        raise FaultInjected(f"injected flaky-once failure in cell {index}")
-    if fault.mode == "hang":
-        time.sleep(fault.arg or 60.0)
-    if fault.mode == "kill":
-        if os.getpid() != _MAIN_PID:
-            os._exit(13)
-        # serial re-run after pool escalation must not kill the parent
-        raise FaultInjected(f"injected worker kill in cell {index} "
-                            f"(serial re-run: raised instead)")
-
-
-def _guarded(worker: Callable[[Any], Tuple[Any, float, int]],
-             payload: Tuple[float, int, int, Optional[FaultDirective],
-                            Settings, Any]) -> Tuple:
-    """Run one cell attempt in its worker, capturing failure as data.
-
-    ``payload`` is ``(submitted, index, attempt, fault, snapshot,
-    item)``; the parent's ``perf_counter`` at submission gives a real
-    queue-wait duration (CLOCK_MONOTONIC is system-wide on Linux and
-    shared across forked workers), and the cell runs under the grid's
-    settings ``snapshot`` (free when the worker already has them).
-    Returns either::
-
-        ("ok", result, seconds, pid, queue_wait_s, peak_rss_kb)
-        ("error", exception_repr, traceback_text, seconds, pid,
-         queue_wait_s, peak_rss_kb)
-
-    so a worker exception crosses the process boundary as plain data
+    ``payload`` is ``(submitted, label, snapshot, item)``; the parent's
+    ``perf_counter`` at submission gives a real queue-wait duration
+    (CLOCK_MONOTONIC is system-wide on Linux and shared across forked
+    workers), and the cell runs under the grid's settings ``snapshot``
+    (free when the worker already has them).  Returns ``(value,
+    timing)``: ``value`` is the cell's result, or a
+    :class:`~repro.common.errors.CellError` when the worker raised, so
+    a worker exception crosses the process boundary as plain data
     instead of poisoning ``ProcessPoolExecutor``'s result plumbing.
     """
-    submitted, index, attempt, fault, snapshot, item = payload
+    submitted, label, snapshot, item = payload
     queue_wait = max(0.0, time.perf_counter() - submitted)
     started = time.perf_counter()
     try:
-        if fault is not None:
-            _apply_fault(fault, index, attempt)
         with settings.override(snapshot):
-            result, seconds, pid = worker(item)
+            # cell seconds bracket only the worker call: perfbench
+            # divides simulated instructions by them
+            started = time.perf_counter()
+            value = worker(item)
+            seconds = time.perf_counter() - started
     except KeyboardInterrupt:
         raise
     except BaseException as error:
-        return ("error", repr(error), traceback.format_exc(),
-                time.perf_counter() - started, os.getpid(), queue_wait,
-                peak_rss_kb())
-    return ("ok", result, seconds, pid, queue_wait, peak_rss_kb())
+        seconds = time.perf_counter() - started
+        value = CellError(label, repr(error), traceback.format_exc())
+    return value, CellTiming(label, seconds, os.getpid(), queue_wait,
+                             peak_rss_kb())
 
 
 #: timings of the most recent engine invocation (spec order)
@@ -279,7 +240,7 @@ def last_errors() -> List[CellError]:
     """Failed cells of the most recent engine invocation, spec order.
 
     Empty under ``on_error="raise"`` (the first failure raises) and for
-    fully successful grids; under ``"skip"``/``"retry"`` callers use
+    fully successful grids; under ``"skip"`` callers use
     this to report which slots hold a :class:`CellError` instead of a
     result.
     """
@@ -305,17 +266,10 @@ def last_resume() -> Optional[Dict[str, Any]]:
     return dict(_last_resume) if _last_resume else None
 
 
-def _callable_name(obj: Callable) -> str:
-    module = getattr(obj, "__module__", "?")
-    return f"{module}.{getattr(obj, '__qualname__', repr(obj))}"
-
-
 def _worker_identity(worker: Callable) -> str:
     """Stable name of the cell worker for checkpoint keying."""
-    if isinstance(worker, functools.partial):
-        parts = [worker.func, *worker.args]
-        return "+".join(_callable_name(part) for part in parts)
-    return _callable_name(worker)
+    module = getattr(worker, "__module__", "?")
+    return f"{module}.{getattr(worker, '__qualname__', repr(worker))}"
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -341,16 +295,15 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class _Grid:
-    """State of one engine invocation: slots, attempts, journal."""
+    """State of one engine invocation: slots, timings, journal."""
 
     def __init__(self, worker: Callable, items: Sequence[Any],
                  labels: Sequence[str], options: EngineOptions) -> None:
-        self.settings = settings.current()
-        self.on_error = options.on_error or self.settings.on_error
-        if self.on_error not in ON_ERROR_MODES:
+        if options.on_error not in ON_ERROR_MODES:
             raise ConfigError(f"on_error must be one of "
                               f"{list(ON_ERROR_MODES)}, got "
-                              f"{self.on_error!r}")
+                              f"{options.on_error!r}")
+        self.settings = settings.current()
         self.runner = functools.partial(_guarded, worker)
         self.items = list(items)
         self.labels = list(labels)
@@ -419,15 +372,19 @@ class _Grid:
     def ordered_timings(self) -> List[CellTiming]:
         return [self.timings[index] for index in sorted(self.timings)]
 
-    def fault_for(self, index: int) -> Optional[FaultDirective]:
-        for directive in self.settings.fault_inject:
-            if directive.matches(index):
-                return directive
-        return None
+    def payload(self, index: int) -> Tuple:
+        return (time.perf_counter(), self.labels[index], self.settings,
+                self.items[index])
 
-    def payload(self, index: int, attempt: int) -> Tuple:
-        return (time.perf_counter(), index, attempt,
-                self.fault_for(index), self.settings, self.items[index])
+    def finish(self, index: int, outcome: Tuple[Any, CellTiming]) -> None:
+        """Fold one worker's outcome into the grid."""
+        value, timing = outcome
+        if isinstance(value, CellError):
+            self.record_error(index, value, timing)
+        else:
+            self.results[index] = value
+            self.timings[index] = timing
+            self._journal_cell(index, "ok", value, timing)
 
     def record_error(self, index: int, cell: CellError,
                      timing: Optional[CellTiming]) -> None:
@@ -437,110 +394,60 @@ class _Grid:
             self.timings[index] = timing
         self._journal_cell(index, "error", cell, timing)
         self._emit("cell_error", label=cell.label, error=cell.exception,
-                   attempts=cell.attempts, kind=cell.kind)
-        if self.on_error == "raise":
+                   kind=cell.kind)
+        if self.options.on_error == "raise":
             raise CellFailedError(cell)
-
-    def classify(self, index: int, attempt: int,
-                 outcome: Tuple) -> Optional[float]:
-        """Fold one attempt's outcome into the grid.
-
-        Returns ``None`` when the cell is finished (success or final
-        failure) or the backoff delay in seconds when it should be
-        retried.
-        """
-        label = self.labels[index]
-        if outcome[0] == "ok":
-            _, result, seconds, pid, queue_wait, rss = outcome
-            timing = CellTiming(label, seconds, pid, queue_wait, rss)
-            self.results[index] = result
-            self.timings[index] = timing
-            self._journal_cell(index, "ok", result, timing)
-            return None
-        _, exception, trace_text, seconds, pid, queue_wait, rss = outcome
-        if (self.on_error == "retry"
-                and attempt <= self.settings.retries):
-            delay = retry_delay(label, attempt, RETRY_BACKOFF_S)
-            self._emit("cell_retry", label=label, attempt=attempt,
-                       delay_s=round(delay, 6), error=exception)
-            return delay
-        self.record_error(
-            index, CellError(label, exception, trace_text,
-                             attempts=attempt),
-            CellTiming(label, seconds, pid, queue_wait, rss))
-        return None
 
     # -- execution -------------------------------------------------------
 
-    def run_serial(self, queue: Iterable[Tuple[int, int]]) -> None:
-        """Run ``(index, attempt)`` cells in-process with full retry
-        semantics (per-cell timeouts are pool-mode only)."""
-        for index, attempt in queue:
-            while True:
-                outcome = self.runner(self.payload(index, attempt))
-                delay = self.classify(index, attempt, outcome)
-                if delay is None:
-                    break
-                time.sleep(delay)
-                attempt += 1
+    def run_serial(self, indices: Iterable[int]) -> None:
+        """Run cells in-process (per-cell timeouts are pool-mode only)."""
+        for index in indices:
+            self.finish(index, self.runner(self.payload(index)))
 
     def run_pool(self, jobs: int) -> None:
-        todo: deque = deque((index, 1) for index in self.unfinished())
-        retries: List[Tuple[float, int, int]] = []  # (ready_at, idx, att)
-        pending: Dict[Any, Tuple[int, int, Optional[float]]] = {}
+        todo: deque = deque(self.unfinished())
+        pending: Dict[Any, Tuple[int, Optional[float]]] = {}
         pool: Optional[ProcessPoolExecutor] = None
+        timeout = self.settings.cell_timeout
         try:
             pool = ProcessPoolExecutor(
                 max_workers=min(jobs, max(1, len(todo))))
-            while todo or retries or pending:
-                now = time.perf_counter()
-                while retries and retries[0][0] <= now:
-                    _, index, attempt = heapq.heappop(retries)
-                    todo.append((index, attempt))
+            while todo or pending:
                 # bounded in-flight window: at most one cell per worker,
                 # so the per-cell deadline measures execution, not time
                 # spent queued behind other cells
                 while todo and len(pending) < jobs:
-                    index, attempt = todo.popleft()
-                    timeout = self.settings.cell_timeout
+                    index = todo.popleft()
                     deadline = (time.perf_counter() + timeout
                                 if timeout > 0 else None)
                     try:
-                        future = pool.submit(
-                            self.runner, self.payload(index, attempt))
+                        future = pool.submit(self.runner,
+                                             self.payload(index))
                     except BrokenProcessPool:
-                        todo.appendleft((index, attempt))
+                        todo.appendleft(index)
                         raise
-                    pending[future] = (index, attempt, deadline)
-                if not pending:
-                    if retries:
-                        time.sleep(max(0.0, retries[0][0]
-                                       - time.perf_counter()))
-                    continue
-                done, _ = wait(set(pending),
-                               timeout=self._wakeup(pending, retries),
-                               return_when=FIRST_COMPLETED)
+                    pending[future] = (index, deadline)
+                deadlines = [deadline for _, deadline in pending.values()
+                             if deadline is not None]
+                done, _ = wait(
+                    set(pending),
+                    timeout=(max(0.01, min(deadlines) - time.perf_counter())
+                             if deadlines else None),
+                    return_when=FIRST_COMPLETED)
                 for future in done:
-                    index, attempt, _ = pending[future]
+                    index, _ = pending[future]
                     outcome = future.result()  # BrokenProcessPool -> below
                     del pending[future]
-                    delay = self.classify(index, attempt, outcome)
-                    if delay is not None:
-                        heapq.heappush(
-                            retries,
-                            (time.perf_counter() + delay, index,
-                             attempt + 1))
+                    self.finish(index, outcome)
                 pool = self._expire_timeouts(pool, pending, todo, jobs)
         except BrokenProcessPool:
             # A worker died hard (OOM kill, segfault, os._exit): the
             # pool is unusable and every in-flight future is poisoned.
-            # Escalate to a graceful serial re-run of the unfinished
-            # attempts — cells are pure, so re-running is safe.
+            # Escalate to a serial re-run of the unfinished cells —
+            # cells are pure, so re-running is safe.
             requeued = sorted(list(todo)
-                              + [(index, attempt) for index, attempt, _
-                                 in pending.values()]
-                              + [(index, attempt) for _, index, attempt
-                                 in retries])
+                              + [index for index, _ in pending.values()])
             pending.clear()
             if pool is not None:
                 _kill_pool(pool)
@@ -567,65 +474,50 @@ class _Grid:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
 
-    def _wakeup(self, pending: Dict, retries: List) -> Optional[float]:
-        """How long ``wait`` may block before a deadline or retry is due."""
-        now = time.perf_counter()
-        candidates = [deadline - now for _, _, deadline in pending.values()
-                      if deadline is not None]
-        if retries:
-            candidates.append(retries[0][0] - now)
-        if not candidates:
-            return None
-        return max(0.01, min(candidates))
-
     def _expire_timeouts(self, pool: ProcessPoolExecutor, pending: Dict,
                          todo: deque, jobs: int) -> ProcessPoolExecutor:
         """Turn overdue cells into timeout :class:`CellError`\\ s.
 
         A hung worker cannot be reclaimed individually, so the whole
-        pool is killed and rebuilt; surviving in-flight attempts are
-        requeued (cells are pure — recomputing is bit-identical).
-        Timeouts are terminal: retrying a hang would only hang again.
+        pool is killed and rebuilt; surviving in-flight cells are
+        requeued (cells are pure — recomputing is bit-identical).  A
+        timed-out cell gets no :class:`CellTiming`: no worker finished
+        it, so there is no worker to charge it to.
         """
         timeout = self.settings.cell_timeout
         if timeout <= 0:
             return pool
         now = time.perf_counter()
-        expired = [future for future, (_, _, deadline) in pending.items()
+        expired = [future for future, (_, deadline) in pending.items()
                    if deadline is not None and now >= deadline
                    and not future.done()]
         if not expired:
             return pool
         for future in expired:
-            index, attempt, _ = pending.pop(future)
+            index, _ = pending.pop(future)
             future.cancel()
-            label = self.labels[index]
             self.record_error(
                 index,
-                CellError(label,
+                CellError(self.labels[index],
                           f"TimeoutError('cell exceeded "
                           f"{timeout:g}s wall clock')",
-                          "", attempts=attempt, kind="timeout"),
-                CellTiming(label, timeout, 0, 0.0, 0))
-        for index, attempt, _ in pending.values():
-            todo.append((index, attempt))
+                          "", kind="timeout"),
+                None)
+        todo.extend(index for index, _ in pending.values())
         pending.clear()
         _kill_pool(pool)
         return ProcessPoolExecutor(max_workers=min(jobs,
                                                    max(1, len(todo))))
 
 
-def _run_timed_cells(worker: Callable[[Any], Tuple[Any, float, int]],
-                     items: Sequence[Any],
-                     labels: Sequence[str],
-                     jobs: Optional[int],
-                     engine: Optional[EngineOptions]) -> List[Any]:
+def _run_grid(worker: Callable[[Any], Any], items: Sequence[Any],
+              labels: Sequence[str], jobs: Optional[int],
+              engine: Optional[EngineOptions]) -> List[Any]:
     global _last_wall_s, _last_resume
     jobs = jobs if jobs is not None else worker_count()
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    options = engine or EngineOptions()
-    grid = _Grid(worker, items, labels, options)
+    grid = _Grid(worker, items, labels, engine or EngineOptions())
     _last_timings.clear()
     _last_errors.clear()
     _last_wall_s = 0.0
@@ -637,7 +529,7 @@ def _run_timed_cells(worker: Callable[[Any], Tuple[Any, float, int]],
         if jobs == 1 or len(unfinished) <= 1:
             # fork (the Linux default) shares the warm interpreter; the
             # serial path keeps pdb/profilers usable.
-            grid.run_serial((index, 1) for index in unfinished)
+            grid.run_serial(unfinished)
         else:
             grid.run_pool(jobs)
         return grid.ordered_results()
@@ -681,13 +573,12 @@ def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any],
     ``fn`` must be a module-level callable (picklable); each item is one
     cell.  Results come back in input order regardless of completion
     order, and per-cell timings are recorded for :func:`last_timings`.
-    Under ``engine.on_error="skip"``/``"retry"`` a failed item's slot
-    holds a :class:`~repro.common.errors.CellError` instead.
+    Under ``engine.on_error="skip"`` a failed item's slot holds a
+    :class:`~repro.common.errors.CellError` instead.
     """
     items = list(items)
     labels = [f"{label}[{index}]" for index in range(len(items))]
-    return _run_timed_cells(functools.partial(_timed_apply, fn),
-                            items, labels, jobs, engine)
+    return _run_grid(fn, items, labels, jobs, engine)
 
 
 def run_cells(specs: Sequence[RunSpec],
@@ -695,9 +586,8 @@ def run_cells(specs: Sequence[RunSpec],
               engine: Optional[EngineOptions] = None) -> List[Any]:
     """Run single-program cells across the worker pool, in spec order."""
     specs = list(specs)
-    return _run_timed_cells(_execute_single, specs,
-                            [spec.timing_label() for spec in specs], jobs,
-                            engine)
+    return _run_grid(_execute_single, specs,
+                     [spec.timing_label() for spec in specs], jobs, engine)
 
 
 def run_multi_cells(specs: Sequence[MultiProgramSpec],
@@ -705,6 +595,5 @@ def run_multi_cells(specs: Sequence[MultiProgramSpec],
                     engine: Optional[EngineOptions] = None) -> List[Any]:
     """Run multi-program cells across the worker pool, in spec order."""
     specs = list(specs)
-    return _run_timed_cells(_execute_multi, specs,
-                            [spec.timing_label() for spec in specs], jobs,
-                            engine)
+    return _run_grid(_execute_multi, specs,
+                     [spec.timing_label() for spec in specs], jobs, engine)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.experiments.report import format_table
-from repro.perf.timing import timed_experiment
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ TABLE1_OPERATIONS: List[Operation] = [
 ]
 
 
-@timed_experiment("table1")
 def run() -> List[Operation]:
     """Return the table rows (kept as a run() for harness uniformity)."""
     return TABLE1_OPERATIONS

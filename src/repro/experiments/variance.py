@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     instructions_for,
     scale_instructions,
 )
-from repro.perf.timing import timed_experiment
 
 VARIANCE_BENCHMARKS = ("gcc", "mcf", "h264ref", "soplex")
 SCHEMES = ("SC2", "MORC")
@@ -62,7 +61,6 @@ class VarianceResult:
         return True
 
 
-@timed_experiment("variance")
 def run(benchmarks: Optional[Sequence[str]] = None,
         n_seeds: int = DEFAULT_SEEDS,
         n_instructions: Optional[int] = None,

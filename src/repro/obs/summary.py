@@ -77,7 +77,6 @@ class TraceSummary:
     engine_cells: List[dict] = field(default_factory=list)
     engine_workers: List[dict] = field(default_factory=list)
     engine_errors: List[dict] = field(default_factory=list)
-    engine_retries: List[dict] = field(default_factory=list)
     engine_resumes: List[dict] = field(default_factory=list)
 
 
@@ -156,8 +155,6 @@ def summarize(path: str) -> TraceSummary:
                 summary.engine_workers.append(event)
             elif kind == "cell_error":
                 summary.engine_errors.append(event)
-            elif kind == "cell_retry":
-                summary.engine_retries.append(event)
             elif kind == "resume":
                 summary.engine_resumes.append(event)
     return summary
@@ -282,22 +279,12 @@ def _render_faults(summary: TraceSummary, top: int) -> str:
         blocks.append(f"Resumed from {resume.get('checkpoint', '?')}: "
                       f"{int(resume.get('loaded', 0))} cells loaded, "
                       f"{int(resume.get('remaining', 0))} re-run")
-    if summary.engine_retries:
-        retried = Counter(str(event.get("label", "?"))
-                          for event in summary.engine_retries)
-        rows = [[label, count] for label, count
-                in retried.most_common(top)]
-        blocks.append(format_table(["cell", "retries"], rows,
-                                   title=f"Cell retries "
-                                         f"({len(summary.engine_retries)}"
-                                         f" total, backoff applied)"))
     if summary.engine_errors:
         rows = [[str(event.get("label", "?")),
                  str(event.get("kind", "error")),
-                 int(event.get("attempts", 1)),
                  str(event.get("error", "?"))[:60]]
                 for event in summary.engine_errors[:top]]
-        blocks.append(format_table(["cell", "kind", "attempts", "error"],
+        blocks.append(format_table(["cell", "kind", "error"],
                                    rows,
                                    title=f"Cell failures "
                                          f"({len(summary.engine_errors)})"))
@@ -353,8 +340,7 @@ def render(summary: TraceSummary, top: int = 8) -> str:
         blocks.append(_render_resilience(summary, top))
     if summary.engine_workers:
         blocks.append(_render_engine(summary))
-    if (summary.engine_errors or summary.engine_retries
-            or summary.engine_resumes):
+    if summary.engine_errors or summary.engine_resumes:
         blocks.append(_render_faults(summary, top))
     if len(blocks) == 1:
         blocks.append("no recognised events — was the trace produced "

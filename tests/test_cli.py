@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.sim import system
 
 
 class TestParser:
@@ -56,11 +57,24 @@ class TestMain:
         assert main(["figure8", "-b", "S6", "-n", "1500"]) == 0
         assert "S6" in capsys.readouterr().out
 
-    def test_skip_mode_reports_failed_cells(self, capsys, repro_env):
-        repro_env.set(REPRO_JOBS="1", REPRO_FAULT_INJECT="crash@1")
+    def test_skip_mode_reports_failed_cells(self, capsys, repro_env,
+                                            monkeypatch):
+        original = system.run_single_program
+
+        def crashing(benchmark, scheme, **options):
+            if scheme == "Adaptive":
+                raise RuntimeError(f"test crash in {benchmark}/{scheme}")
+            return original(benchmark, scheme, **options)
+
+        monkeypatch.setattr(system, "run_single_program", crashing)
+        repro_env.set(REPRO_JOBS="1")
         assert main(["figure6", "-b", "gcc", "-n", "1500",
                      "--on-error", "skip"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "1 cell(s) failed" in captured.err
-        assert "FaultInjected" in captured.err
+        assert "gcc/Adaptive: error: RuntimeError" in captured.err
+
+    def test_on_error_rejects_retry(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure6", "--on-error", "retry"])

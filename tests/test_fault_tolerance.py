@@ -1,16 +1,20 @@
-"""Fault-tolerant engine: error capture, retry, timeout, resume.
+"""Fault-tolerant engine: error capture, timeout, pool death, resume.
 
-Exercises every fault path of :mod:`repro.experiments.parallel` with the
-deterministic ``REPRO_FAULT_INJECT`` hook: an injected crash becomes a
-structured :class:`CellError` with the rest of the grid intact, a
-flaky-once cell succeeds on retry with its backoff recorded in the
-``engine`` trace, a hang trips the per-cell timeout, a killed worker
-escalates to a serial re-run, and a killed sweep resumes from its
-checkpoint with results bit-identical to an uninterrupted run.
+Exercises every fault path of :mod:`repro.experiments.parallel` with
+faults injected from the test side: module-level workers that crash,
+hang, die with ``os._exit`` in a pool worker, or raise
+``KeyboardInterrupt`` on items flagged by an environment variable (forked
+workers inherit the parent's environment), and a patched
+``repro.sim.system.run_single_program`` for figure grids.  A crash
+becomes a structured :class:`CellError` with the rest of the grid
+intact, a hang trips the per-cell timeout, a killed worker escalates to
+a serial re-run, and a killed sweep resumes from its checkpoint with
+results bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import time
@@ -22,132 +26,113 @@ from repro.common import settings
 from repro.common.errors import CellError, CellFailedError, ConfigError
 from repro.experiments import figure6, parallel
 from repro.experiments.checkpoint import GridCheckpoint, spec_key
-from repro.common.settings import parse_fault_spec
-from repro.experiments.parallel import (
-    EngineOptions,
-    parallel_map,
-    retry_delay,
-)
+from repro.experiments.parallel import EngineOptions, parallel_map
 from repro.obs.reader import read_all, read_events
 from repro.obs.summary import render, summarize
+from repro.sim import system
+
+
+def _flagged(value, variable: str) -> bool:
+    """Whether ``value`` is listed in the comma-separated ``variable``."""
+    return str(value) in os.environ.get(variable, "").split(",")
 
 
 def _double(x):
     return 2 * x
 
 
+def _crashing_double(x):
+    """2*x, but raise on items listed in TEST_CRASH."""
+    if _flagged(x, "TEST_CRASH"):
+        raise RuntimeError(f"test crash on item {x}")
+    return 2 * x
+
+
+def _hanging_double(x):
+    """2*x, but hang for 30 s on items listed in TEST_HANG."""
+    if _flagged(x, "TEST_HANG"):
+        time.sleep(30)
+    return 2 * x
+
+
+def _dying_double(x):
+    """2*x, but a pool worker given an item listed in TEST_DIE exits
+    at once, as an OOM-killed worker would; in the parent (the serial
+    re-run) the item succeeds."""
+    if _flagged(x, "TEST_DIE") and multiprocessing.parent_process():
+        os._exit(13)
+    return 2 * x
+
+
 def _interruptible_double(x):
-    """2*x, but Ctrl-C on x == 2 while TEST_INTERRUPT is set (forked
-    workers inherit the parent's environment)."""
+    """2*x, but Ctrl-C on x == 2 while TEST_INTERRUPT is set."""
     if x == 2 and os.environ.get("TEST_INTERRUPT"):
         raise KeyboardInterrupt
     return 2 * x
 
 
 def _logged_double(item):
-    """Append this invocation to a shared log (O_APPEND is atomic)."""
+    """Append this invocation to a shared log (O_APPEND is atomic), then
+    crash if the value is listed in TEST_CRASH."""
     log_path, value = item
     with open(log_path, "a") as handle:
         handle.write(f"{value}\n")
+    if _flagged(value, "TEST_CRASH"):
+        raise RuntimeError(f"test crash on item {value}")
     return 2 * value
 
 
 @pytest.fixture
-def quiet_env(repro_env, monkeypatch):
-    """No ``REPRO_*`` knobs set; fast backoff so retry tests stay quick."""
-    monkeypatch.setattr(parallel, "RETRY_BACKOFF_S", 0.01)
-    return repro_env
-
-
-@pytest.fixture
-def trace_path(quiet_env, tmp_path):
+def trace_path(repro_env, tmp_path):
     path = tmp_path / "trace.jsonl"
-    quiet_env.set(REPRO_OBS="1", REPRO_OBS_TRACE=str(path))
+    repro_env.set(REPRO_OBS="1", REPRO_OBS_TRACE=str(path))
     return str(path)
 
 
 # -- error capture ------------------------------------------------------
 
-def test_injected_crash_becomes_cell_error_grid_intact(quiet_env):
-    quiet_env.set(REPRO_FAULT_INJECT="crash@2")
-    out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
+def test_injected_crash_becomes_cell_error_grid_intact(repro_env):
+    repro_env.set(TEST_CRASH="2")
+    out = parallel_map(_crashing_double, [0, 1, 2, 3], jobs=2,
                        engine=EngineOptions(on_error="skip"))
-    assert out[0] == 2 and out[1] == 4 and out[3] == 8
+    assert out[0] == 0 and out[1] == 2 and out[3] == 6
     cell = out[2]
     assert isinstance(cell, CellError)
     assert cell.label == "cell[2]"
-    assert "injected crash" in cell.exception
-    assert "FaultInjected" in cell.traceback
-    assert cell.attempts == 1
+    assert "test crash on item 2" in cell.exception
+    assert "RuntimeError" in cell.traceback
     assert cell.kind == "error"
+    assert parallel.last_errors() == [cell]
 
 
-def test_default_raise_mode_wraps_worker_exception(quiet_env):
-    quiet_env.set(REPRO_FAULT_INJECT="crash@1")
+def test_default_raise_mode_wraps_worker_exception(repro_env):
+    repro_env.set(TEST_CRASH="6")
     with pytest.raises(CellFailedError) as excinfo:
-        parallel_map(_double, [5, 6, 7], jobs=2)
+        parallel_map(_crashing_double, [5, 6, 7], jobs=2)
     assert excinfo.value.cell.label == "cell[1]"
-    assert "injected crash" in str(excinfo.value)
+    assert "test crash on item 6" in str(excinfo.value)
 
 
-def test_failed_grid_does_not_leave_stale_engine_state(quiet_env):
-    # Satellite bugfix: last_timings()/last_wall_seconds() used to keep
-    # the PREVIOUS invocation's data after any failure.
+def test_failed_grid_does_not_leave_stale_engine_state(repro_env):
+    # last_timings()/last_wall_seconds() must describe the failed grid,
+    # not keep the PREVIOUS invocation's data.
     parallel_map(_double, [10, 20, 30], jobs=2, label="first")
     assert [t.label for t in parallel.last_timings()] == [
         "first[0]", "first[1]", "first[2]"]
-    quiet_env.set(REPRO_FAULT_INJECT="crash@0")
+    repro_env.set(TEST_CRASH="1")
     with pytest.raises(CellFailedError):
-        parallel_map(_double, [1, 2], jobs=2, label="second")
+        parallel_map(_crashing_double, [1, 2], jobs=2, label="second")
     labels = [t.label for t in parallel.last_timings()]
     assert all(label.startswith("second[") for label in labels)
     assert parallel.last_wall_seconds() > 0.0
 
 
-# -- retry with backoff -------------------------------------------------
-
-def test_flaky_once_succeeds_on_retry_with_backoff_recorded(
-        quiet_env, trace_path):
-    quiet_env.set(REPRO_FAULT_INJECT="flaky@1")
-    out = parallel_map(_double, [1, 2, 3], jobs=2,
-                       engine=EngineOptions(on_error="retry"))
-    assert out == [2, 4, 6]
-    retry_events = [event for event in read_events(trace_path)
-                    if event.get("ev") == "cell_retry"]
-    assert len(retry_events) == 1
-    assert retry_events[0]["label"] == "cell[1]"
-    assert retry_events[0]["attempt"] == 1
-    assert retry_events[0]["delay_s"] > 0.0
-    assert "flaky" in retry_events[0]["error"]
-
-
-def test_retries_exhausted_reports_attempt_count(quiet_env):
-    quiet_env.set(REPRO_FAULT_INJECT="crash@0")
-    quiet_env.set(REPRO_RETRIES="2")
-    out = parallel_map(_double, [1, 2], jobs=2,
-                       engine=EngineOptions(on_error="retry"))
-    cell = out[0]
-    assert isinstance(cell, CellError)
-    assert cell.attempts == 3  # initial attempt + 2 retries
-    assert out[1] == 4
-
-
-def test_retry_delay_is_deterministic_exponential():
-    first = retry_delay("gcc/MORC", 1, 0.05)
-    assert first == retry_delay("gcc/MORC", 1, 0.05)
-    assert 0.05 <= first <= 0.10  # base + jitter in [0, base)
-    assert retry_delay("gcc/MORC", 3, 0.05) >= 0.20  # doubled twice
-    assert retry_delay("gcc/MORC", 1, 0.05) != retry_delay(
-        "hmmer/MORC", 1, 0.05)
-
-
 # -- timeout ------------------------------------------------------------
 
-def test_hang_trips_cell_timeout(quiet_env):
-    quiet_env.set(REPRO_FAULT_INJECT="hang@0:30")
-    quiet_env.set(REPRO_CELL_TIMEOUT="0.5")
+def test_hang_trips_cell_timeout(repro_env):
+    repro_env.set(TEST_HANG="0", REPRO_CELL_TIMEOUT="0.5")
     started = time.perf_counter()
-    out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
+    out = parallel_map(_hanging_double, [0, 1, 2, 3], jobs=2,
                        engine=EngineOptions(on_error="skip"))
     elapsed = time.perf_counter() - started
     assert elapsed < 15.0  # nowhere near the 30s hang
@@ -155,34 +140,53 @@ def test_hang_trips_cell_timeout(quiet_env):
     assert isinstance(cell, CellError)
     assert cell.kind == "timeout"
     assert "0.5" in cell.exception
-    assert out[1:] == [4, 6, 8]
+    assert out[1:] == [2, 4, 6]
+
+
+def test_timed_out_cell_is_not_a_worker(repro_env, trace_path):
+    # A timed-out cell was once recorded as CellTiming(pid=0), so the
+    # worker profiles and the trace's ``worker`` events showed a phantom
+    # worker with pid 0 beside the real ones.
+    repro_env.set(TEST_HANG="0", REPRO_CELL_TIMEOUT="0.5")
+    parallel_map(_hanging_double, [0, 1, 2, 3], jobs=2,
+                 engine=EngineOptions(on_error="skip"))
+    profiles = parallel.last_worker_profiles()
+    assert profiles and 0 not in {p.pid for p in profiles}
+    assert sum(p.cells for p in profiles) == 3
+    timings = parallel.last_timings()
+    assert [t.label for t in timings] == ["cell[1]", "cell[2]", "cell[3]"]
+    assert {p.pid for p in profiles} == {t.worker_pid for t in timings}
+    worker_pids = [event["pid"] for event in read_events(trace_path)
+                   if event.get("ev") == "worker"]
+    assert worker_pids and 0 not in worker_pids
 
 
 # -- broken pool escalation ---------------------------------------------
 
-def test_killed_worker_escalates_to_serial_rerun(quiet_env):
-    quiet_env.set(REPRO_FAULT_INJECT="kill@1")
-    out = parallel_map(_double, [1, 2, 3, 4], jobs=2,
+def test_killed_worker_escalates_to_serial_rerun(repro_env, trace_path):
+    repro_env.set(TEST_DIE="1")
+    out = parallel_map(_dying_double, [0, 1, 2, 3], jobs=2,
                        engine=EngineOptions(on_error="skip"))
-    # the poisoned cell fails (raised, not killed, in the serial
-    # re-run); every other cell still produces its result
-    assert isinstance(out[1], CellError)
-    assert "kill" in out[1].exception
-    assert [out[0], out[2], out[3]] == [2, 6, 8]
+    # the pool broke, and the serial re-run in the parent completed the
+    # cell whose worker died along with every other unfinished one
+    assert out == [0, 2, 4, 6]
+    assert parallel.last_errors() == []
+    assert any(event.get("ev") == "pool_broken"
+               for event in read_events(trace_path))
 
 
 # -- checkpoint / resume ------------------------------------------------
 
-def test_resume_reruns_only_missing_cells(quiet_env, tmp_path):
+def test_resume_reruns_only_missing_cells(repro_env, tmp_path):
     ckpt = str(tmp_path / "grid.ckpt")
     log = str(tmp_path / "invocations.log")
     items = [(log, value) for value in range(4)]
-    quiet_env.set(REPRO_FAULT_INJECT="crash@2")
+    repro_env.set(TEST_CRASH="2")
     out = parallel_map(_logged_double, items, jobs=2,
                        engine=EngineOptions(on_error="skip",
                                             checkpoint=ckpt))
     assert isinstance(out[2], CellError)
-    quiet_env.set(REPRO_FAULT_INJECT=None)
+    repro_env.set(TEST_CRASH=None)
     resumed = parallel_map(_logged_double, items, jobs=2,
                            engine=EngineOptions(on_error="skip",
                                                 checkpoint=ckpt,
@@ -190,17 +194,17 @@ def test_resume_reruns_only_missing_cells(quiet_env, tmp_path):
     assert resumed == [0, 2, 4, 6]
     assert parallel.last_resume() == {"checkpoint": ckpt, "loaded": 3,
                                       "executed": 1}
-    # 3 successes in run one + only the failed cell re-run in run two
+    # run one tried all 4 cells, run two re-ran only the failed one
     with open(log) as handle:
         invocations = sorted(int(line) for line in handle)
-    assert invocations == [0, 1, 2, 3]
+    assert invocations == [0, 1, 2, 2, 3]
     # loaded cells' timings are replayed so the grid view is complete
     assert len(parallel.last_timings()) == 4
 
 
-def test_interrupt_flushes_checkpoint_and_resumes(quiet_env, tmp_path):
+def test_interrupt_flushes_checkpoint_and_resumes(repro_env, tmp_path):
     ckpt = str(tmp_path / "grid.ckpt")
-    quiet_env.set(TEST_INTERRUPT="1")
+    repro_env.set(TEST_INTERRUPT="1")
     with pytest.raises(KeyboardInterrupt):
         parallel_map(_interruptible_double, [0, 1, 2, 3], jobs=2,
                      engine=EngineOptions(on_error="skip",
@@ -208,7 +212,7 @@ def test_interrupt_flushes_checkpoint_and_resumes(quiet_env, tmp_path):
     journaled = GridCheckpoint(ckpt).load()
     assert any(record["status"] == "ok"
                for record in journaled.values())
-    quiet_env.set(TEST_INTERRUPT=None)
+    repro_env.set(TEST_INTERRUPT=None)
     resumed = parallel_map(_interruptible_double, [0, 1, 2, 3], jobs=2,
                            engine=EngineOptions(on_error="skip",
                                                 checkpoint=ckpt,
@@ -217,7 +221,7 @@ def test_interrupt_flushes_checkpoint_and_resumes(quiet_env, tmp_path):
     assert parallel.last_resume()["loaded"] >= 1
 
 
-def test_checkpoint_not_replayed_across_worker_functions(quiet_env,
+def test_checkpoint_not_replayed_across_worker_functions(repro_env,
                                                          tmp_path):
     ckpt = str(tmp_path / "grid.ckpt")
     parallel_map(_double, [0, 1], jobs=1,
@@ -251,22 +255,34 @@ def test_spec_key_is_stable_and_position_sensitive():
 
 
 def test_figure_grid_resume_bit_identical_to_fault_free_run(
-        quiet_env, tmp_path):
-    # The acceptance scenario: crash 10% of a figure-6 grid, finish with
-    # CellErrors reported, resume, and match a fault-free serial run.
+        repro_env, monkeypatch, tmp_path):
+    # The acceptance scenario: crash some cells of a figure-6 grid,
+    # finish with CellErrors reported, resume, and match a fault-free
+    # serial run.  Pool workers forked after the patch see it;
+    # _execute_single stays the worker, so the checkpoint keys of the
+    # crashed run and the resume agree.
     kwargs = dict(benchmarks=["gcc", "hmmer"], n_instructions=5_000,
                   schemes=("Uncompressed", "MORC"))
-    quiet_env.set(REPRO_JOBS="1")
+    repro_env.set(REPRO_JOBS="1")
     clean = figure6.run(**kwargs)
     ckpt = str(tmp_path / "figure6.ckpt")
-    quiet_env.set(REPRO_JOBS="2")
-    quiet_env.set(REPRO_FAULT_INJECT="crash@10%")
+    original = system.run_single_program
+    crashed = {("gcc", "MORC"), ("hmmer", "Uncompressed")}
+
+    def crashing(benchmark, scheme, **options):
+        if (benchmark, scheme) in crashed:
+            raise RuntimeError(f"test crash in {benchmark}/{scheme}")
+        return original(benchmark, scheme, **options)
+
+    monkeypatch.setattr(system, "run_single_program", crashing)
+    repro_env.set(REPRO_JOBS="2")
     partial = figure6.run(engine=EngineOptions(on_error="skip",
                                                checkpoint=ckpt), **kwargs)
     failed = [cell for runs in partial.runs.values() for cell in runs
               if isinstance(cell, CellError)]
-    assert failed, "crash@10% must fail at least cell 0"
-    quiet_env.set(REPRO_FAULT_INJECT=None)
+    assert sorted(cell.label for cell in failed) == [
+        "gcc/MORC", "hmmer/Uncompressed"]
+    monkeypatch.setattr(system, "run_single_program", original)
     resumed = figure6.run(engine=EngineOptions(on_error="skip",
                                                checkpoint=ckpt,
                                                resume=True), **kwargs)
@@ -290,14 +306,14 @@ def _ratios(result):
 
 
 def test_resume_under_changed_soft_errors_reruns_every_cell(
-        quiet_env, tmp_path):
+        repro_env, tmp_path):
     # A journal written by a clean run must not stand in for cells whose
     # soft-error model differs: every cell re-runs and the resumed grid
     # matches a fresh run under the new settings.
     ckpt = str(tmp_path / "figure6.ckpt")
-    quiet_env.set(REPRO_JOBS="1")
+    repro_env.set(REPRO_JOBS="1")
     clean = figure6.run(engine=EngineOptions(checkpoint=ckpt), **GRID)
-    quiet_env.set(REPRO_SOFT_ERRORS="0.01", REPRO_SOFT_ERROR_POLICY="raw")
+    repro_env.set(REPRO_SOFT_ERRORS="0.01", REPRO_SOFT_ERROR_POLICY="raw")
     fresh = figure6.run(**GRID)
     resumed = figure6.run(engine=EngineOptions(checkpoint=ckpt,
                                                resume=True), **GRID)
@@ -308,13 +324,13 @@ def test_resume_under_changed_soft_errors_reruns_every_cell(
 
 
 def test_resume_under_changed_jobs_or_tracing_replays_every_cell(
-        quiet_env, tmp_path):
+        repro_env, tmp_path):
     # Worker count and tracing cannot change a result, so they stay out
     # of the checkpoint key and a resume replays every journaled cell.
     ckpt = str(tmp_path / "figure6.ckpt")
-    quiet_env.set(REPRO_JOBS="1")
+    repro_env.set(REPRO_JOBS="1")
     clean = figure6.run(engine=EngineOptions(checkpoint=ckpt), **GRID)
-    quiet_env.set(REPRO_JOBS="2", REPRO_OBS="1",
+    repro_env.set(REPRO_JOBS="2", REPRO_OBS="1",
                   REPRO_OBS_TRACE=str(tmp_path / "trace.jsonl"))
     resumed = figure6.run(engine=EngineOptions(checkpoint=ckpt,
                                                resume=True), **GRID)
@@ -327,7 +343,7 @@ def test_spec_key_hashes_result_settings():
     spec = parallel.RunSpec("gcc", "MORC", n_instructions=5000)
     clean = settings.Settings()
     assert clean.result_key() == settings.Settings(
-        jobs=3, obs=True, verify=True, retries=0).result_key()
+        jobs=3, obs=True, verify=True, cell_timeout=9.0).result_key()
     for changed in (settings.Settings(soft_errors=(0.01, None, None)),
                     settings.Settings(soft_errors=(0.0, 4, None)),
                     settings.Settings(soft_errors=(0.0, 4, 9)),
@@ -340,31 +356,15 @@ def test_spec_key_hashes_result_settings():
 
 # -- configuration parsing ----------------------------------------------
 
-def test_fault_spec_parsing():
-    directives = parse_fault_spec("crash@2,flaky@1,hang@0:1.5,crash@10%")
-    assert [d.mode for d in directives] == ["crash", "flaky", "hang",
-                                            "crash"]
-    assert directives[2].arg == 1.5
-    stride = directives[3]
-    assert stride.selector == "stride" and stride.value == 10
-    assert stride.matches(0) and stride.matches(10)
-    assert not stride.matches(5)
-    assert parse_fault_spec("") == ()
-    for bad in ("explode@1", "crash", "crash@x", "crash@0%"):
-        with pytest.raises(ConfigError):
-            parse_fault_spec(bad)
-
-
-def test_engine_env_knob_validation(quiet_env):
-    for name, bad in (("REPRO_RETRIES", "-1"), ("REPRO_RETRIES", "x"),
-                      ("REPRO_CELL_TIMEOUT", "soon"),
-                      ("REPRO_ON_ERROR", "ignore")):
-        with pytest.raises(ConfigError, match=name):
-            settings.from_env({name: bad})
-    assert settings.from_env({"REPRO_RETRIES": " "}).retries == 2
-    with pytest.raises(ConfigError):
-        parallel_map(_double, [1, 2], jobs=1,
-                     engine=EngineOptions(on_error="ignore"))
+def test_engine_env_knob_validation(repro_env):
+    for bad in ("soon", "-1"):
+        with pytest.raises(ConfigError, match="REPRO_CELL_TIMEOUT"):
+            settings.from_env({"REPRO_CELL_TIMEOUT": bad})
+    assert settings.from_env({"REPRO_CELL_TIMEOUT": " "}).cell_timeout == 0
+    for mode in ("ignore", "retry"):
+        with pytest.raises(ConfigError, match="on_error"):
+            parallel_map(_double, [1, 2], jobs=1,
+                         engine=EngineOptions(on_error=mode))
 
 
 # -- observability surface ----------------------------------------------
@@ -385,14 +385,14 @@ def test_reader_streams_lazily(tmp_path):
     assert malformed == 1
 
 
-def test_fault_events_surface_in_obs_summary(quiet_env, trace_path,
+def test_fault_events_surface_in_obs_summary(repro_env, trace_path,
                                              tmp_path):
     ckpt = str(tmp_path / "grid.ckpt")
-    quiet_env.set(REPRO_FAULT_INJECT="crash@0")
-    parallel_map(_double, [1, 2, 3], jobs=2,
+    repro_env.set(TEST_CRASH="1")
+    parallel_map(_crashing_double, [1, 2, 3], jobs=2,
                  engine=EngineOptions(on_error="skip", checkpoint=ckpt))
-    quiet_env.set(REPRO_FAULT_INJECT=None)
-    parallel_map(_double, [1, 2, 3], jobs=2,
+    repro_env.set(TEST_CRASH=None)
+    parallel_map(_crashing_double, [1, 2, 3], jobs=2,
                  engine=EngineOptions(on_error="skip", checkpoint=ckpt,
                                       resume=True))
     summary = summarize(trace_path)

@@ -182,9 +182,9 @@ def test_cli_obs_missing_file(tmp_path, capsys):
 
 
 KNOBS = ("REPRO_OBS", "REPRO_OBS_TRACE", "REPRO_OBS_CATEGORIES",
-         "REPRO_JOBS", "REPRO_SCALE", "REPRO_ON_ERROR", "REPRO_RETRIES",
-         "REPRO_CELL_TIMEOUT", "REPRO_FAULT_INJECT", "REPRO_SOFT_ERRORS",
-         "REPRO_SOFT_ERROR_POLICY", "REPRO_SOFT_ERROR_SEED", "REPRO_VERIFY")
+         "REPRO_JOBS", "REPRO_SCALE", "REPRO_CELL_TIMEOUT",
+         "REPRO_SOFT_ERRORS", "REPRO_SOFT_ERROR_POLICY",
+         "REPRO_SOFT_ERROR_SEED", "REPRO_VERIFY")
 
 
 def test_cli_list_shows_obs_knobs(capsys):
@@ -203,17 +203,14 @@ def test_env_parsing():
     parsed = settings.from_env({
         "REPRO_OBS": "1", "REPRO_OBS_TRACE": "/tmp/t.jsonl",
         "REPRO_OBS_CATEGORIES": "llc,mem", "REPRO_JOBS": "3",
-        "REPRO_SCALE": "2", "REPRO_ON_ERROR": "Skip",
-        "REPRO_RETRIES": "4", "REPRO_CELL_TIMEOUT": "1.5",
-        "REPRO_FAULT_INJECT": "crash@2", "REPRO_SOFT_ERRORS": "@7:33",
+        "REPRO_SCALE": "2", "REPRO_CELL_TIMEOUT": "1.5",
+        "REPRO_SOFT_ERRORS": "@7:33",
         "REPRO_SOFT_ERROR_POLICY": "raw", "REPRO_SOFT_ERROR_SEED": "5",
         "REPRO_VERIFY": "yes"})
     assert parsed == settings.Settings(
         obs=True, obs_trace="/tmp/t.jsonl",
         obs_categories=frozenset({"llc", "mem"}), jobs=3, scale=2.0,
-        on_error="skip", retries=4, cell_timeout=1.5,
-        fault_inject=settings.parse_fault_spec("crash@2"),
-        soft_errors=(0.0, 7, 33), soft_error_policy="raw",
+        cell_timeout=1.5, soft_errors=(0.0, 7, 33), soft_error_policy="raw",
         soft_error_seed=5, verify=True)
     assert settings.from_env({}) == settings.Settings()
     assert settings.from_env({"REPRO_OBS": "off"}).obs is False
@@ -223,7 +220,7 @@ def test_env_parsing():
                       ("REPRO_SCALE", "nope"),
                       ("REPRO_SOFT_ERROR_POLICY", "shrug"),
                       ("REPRO_SOFT_ERROR_SEED", "x"),
-                      ("REPRO_FAULT_INJECT", "explode@1"),
+                      ("REPRO_CELL_TIMEOUT", "soon"),
                       ("REPRO_SOFT_ERRORS", "@x")):
         with pytest.raises(ConfigError, match=name):
             settings.from_env({name: bad})

@@ -31,7 +31,7 @@ from repro.conformance.codecs import (
 )
 from repro.experiments import figure6, parallel
 from repro.experiments.runner import scale_instructions
-from repro.perf.corpus import ARCHETYPES, line_corpus, mixed_stream
+from repro.conformance.corpus import ARCHETYPES, line_corpus, mixed_stream
 from repro.sim.system import run_single_program
 
 
