@@ -24,16 +24,14 @@ decompression latency on loads; both choices are reproduced here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.common.config import CacheGeometry
-from repro.common import settings
-from repro.common.errors import PoisonedLineError
 from repro.common.stats import StatGroup
 from repro.common.words import check_line
 from repro.obs import trace as obs_trace
 from repro.resilience import verify as res_verify
-from repro.resilience.faults import make_injector
+from repro.resilience.faults import soft_errors
 from repro.cache.base import FillResult, LLCInterface, ReadResult
 from repro.cache.replacement import LruPolicy
 from repro.compression.base import IntraLineCompressor
@@ -86,8 +84,7 @@ class SetAssociativeCache(LLCInterface):
         self._sets = [_Set() for _ in range(geometry.n_sets)]
         self.stats = StatGroup(self.name)
         # Resilience hooks (repro/resilience): inert on a clean run.
-        self._injector = make_injector()
-        self._raw_fallback: set = set()
+        self._soft = soft_errors(self.name, self.stats)
         self._verify = res_verify.verification_enabled()
         self._full_segments = geometry.line_size // SEGMENT_BYTES
 
@@ -105,6 +102,28 @@ class SetAssociativeCache(LLCInterface):
         return min(size.segments(SEGMENT_BYTES),
                    self.geometry.line_size // SEGMENT_BYTES)
 
+    def _store(self, line_address: int,
+               data: bytes) -> Tuple[int, Optional[int]]:
+        """Segments a stored copy of ``data`` takes, and its flipped bit.
+
+        Sizes the line (raw under the ``raw`` fallback), verifies the
+        round-trip under ``REPRO_VERIFY``, and runs the injector over a
+        compressed copy; raw copies are assumed ECC-protected.
+        """
+        segments = self._line_segments(data)
+        poison_bit = None
+        soft = self._soft
+        if soft is not None and self.compressor is not None:
+            if soft.stored_raw(line_address):
+                segments = self._full_segments
+            elif segments < self._full_segments:
+                poison_bit = soft.poison(line_address,
+                                         segments * SEGMENT_BYTES * 8)
+        if self._verify and self.compressor is not None:
+            res_verify.verify_intraline_roundtrip(self.compressor, data,
+                                                  self.name)
+        return segments, poison_bit
+
     # -- LLCInterface ---------------------------------------------------------
 
     def read(self, address: int) -> ReadResult:
@@ -114,15 +133,22 @@ class SetAssociativeCache(LLCInterface):
         if line is None:
             self.stats.add("read_misses")
             return ReadResult(False, self.base_latency_cycles)
-        if line.poison_bit is not None:
-            return self._recover(cache_set, line, during="read")
-        cache_set.lru.touch(line_address)
-        self.stats.add("read_hits")
         latency = self.base_latency_cycles
         if self.compressor is not None:
+            # A poisoned payload is decoded too, and fails.
             latency += self.decompression_cycles
             self.stats.add("decompressions")
             self.stats.add("decompressed_lines")
+        if line.poison_bit is not None:
+            self._soft.detect(
+                line_address, line.poison_bit, line.dirty, "read",
+                f"set {self.geometry.set_index(address)}")
+            del cache_set.lines[line_address]
+            cache_set.lru.remove(line_address)
+            cache_set.used_segments -= line.segments
+            return ReadResult(False, latency)
+        cache_set.lru.touch(line_address)
+        self.stats.add("read_hits")
         return ReadResult(True, latency, data=line.data)
 
     def fill(self, address: int, data: bytes) -> FillResult:
@@ -139,12 +165,7 @@ class SetAssociativeCache(LLCInterface):
             return self._insert(address, data, dirty=True)
         # In-place update: re-fit if the compressed size grew (Adaptive's
         # expansion/defragmentation case).
-        new_segments = self._line_segments(data)
-        if self._raw_fallback and line_address in self._raw_fallback:
-            new_segments = self._full_segments
-        if self._verify and self.compressor is not None:
-            res_verify.verify_intraline_roundtrip(self.compressor, data,
-                                                  self.name)
+        new_segments, poison_bit = self._store(line_address, data)
         result = FillResult()
         if new_segments > line.segments:
             self.stats.add("expansions")
@@ -155,9 +176,8 @@ class SetAssociativeCache(LLCInterface):
         line.segments = new_segments
         line.data = data
         line.dirty = True
-        line.poison_bit = None  # the rewrite stores fresh bits
+        line.poison_bit = poison_bit  # the rewrite stores fresh bits
         cache_set.lru.touch(line_address)
-        self._maybe_poison(line)
         return result
 
     def contains(self, address: int) -> bool:
@@ -167,58 +187,6 @@ class SetAssociativeCache(LLCInterface):
     def compression_ratio(self) -> float:
         resident = sum(len(s.lines) for s in self._sets)
         return resident / self.geometry.n_lines
-
-    # -- soft-error detection and recovery ------------------------------------
-
-    def _recover(self, cache_set: _Set, line: _Line,
-                 during: str) -> ReadResult:
-        """A poisoned line was touched: detect, recover per policy."""
-        policy = settings.current().soft_error_policy
-        self.stats.add("soft_errors_detected")
-        latency = self.base_latency_cycles + self.decompression_cycles
-        if self.compressor is not None:
-            # The decoder ran over the stored payload before failing.
-            self.stats.add("decompressions")
-            self.stats.add("decompressed_lines")
-        if policy == "failstop":
-            raise PoisonedLineError(
-                self.name, line.address,
-                f"set {self.geometry.set_index(line.address * self.geometry.line_size)}",
-                bit=line.poison_bit)
-        if policy == "raw":
-            self._raw_fallback.add(line.address)
-            self.stats.add("raw_fallbacks")
-        bit = line.poison_bit
-        dirty = line.dirty
-        cache_set.lines.pop(line.address)
-        cache_set.lru.remove(line.address)
-        cache_set.used_segments -= line.segments
-        self.stats.add("soft_error_recoveries")
-        if dirty:
-            self.stats.add("soft_error_data_loss")
-        channel = obs_trace.RESILIENCE
-        if channel is not None:
-            channel.emit("recovery", cache=self.name, line=line.address,
-                         policy=policy, during=during, dirty=dirty,
-                         bit=bit)
-        return ReadResult(False, latency)
-
-    def _maybe_poison(self, line: _Line) -> None:
-        """Run the injector over one freshly stored compressed payload."""
-        if self._injector is None or self.compressor is None:
-            return
-        if line.segments >= self._full_segments:
-            return  # stored raw: assumed ECC-protected
-        flip = self._injector.flip_for(line.segments * SEGMENT_BYTES * 8)
-        if flip is None:
-            return
-        line.poison_bit = flip
-        self.stats.add("soft_errors_injected")
-        channel = obs_trace.RESILIENCE
-        if channel is not None:
-            channel.emit("soft_error", cache=self.name, line=line.address,
-                         bit=flip,
-                         bits=line.segments * SEGMENT_BYTES * 8)
 
     # -- internals ------------------------------------------------------------
 
@@ -231,20 +199,14 @@ class SetAssociativeCache(LLCInterface):
             cache_set.lru.remove(line_address)
             cache_set.used_segments -= existing.segments
             dirty = dirty or existing.dirty
-        segments = self._line_segments(data)
-        if self._raw_fallback and line_address in self._raw_fallback:
-            segments = self._full_segments
-        if self._verify and self.compressor is not None:
-            res_verify.verify_intraline_roundtrip(self.compressor, data,
-                                                  self.name)
+        segments, poison_bit = self._store(line_address, data)
         result = FillResult()
         need_tags = 0 if len(cache_set.lines) < self.tags_per_set else 1
         self._make_room(cache_set, segments, need_tags, result)
-        new_line = _Line(line_address, data, dirty, segments)
-        cache_set.lines[line_address] = new_line
+        cache_set.lines[line_address] = _Line(line_address, data, dirty,
+                                              segments, poison_bit)
         cache_set.lru.insert(line_address)
         cache_set.used_segments += segments
-        self._maybe_poison(new_line)
         channel = obs_trace.LLC
         if channel is not None:
             channel.emit("insert", cache=self.name, dirty=dirty,
@@ -287,22 +249,11 @@ class SetAssociativeCache(LLCInterface):
                          bits=line.segments * SEGMENT_BYTES * 8)
         if line.dirty:
             if line.poison_bit is not None:
-                # The dirty victim cannot be decompressed for write-back:
-                # detection fires here, and the write is lost (or the
-                # run stops under failstop).
-                policy = settings.current().soft_error_policy
-                self.stats.add("soft_errors_detected")
-                if policy == "failstop":
-                    raise PoisonedLineError(
-                        self.name, line_address, "dirty eviction",
-                        bit=line.poison_bit)
-                self.stats.add("soft_error_data_loss")
-                channel = obs_trace.RESILIENCE
-                if channel is not None:
-                    channel.emit("recovery", cache=self.name,
-                                 line=line_address, policy=policy,
-                                 during="evict", dirty=True,
-                                 bit=line.poison_bit)
+                # The victim cannot be decompressed for write-back.
+                where = self.geometry.set_index(
+                    line_address * self.geometry.line_size)
+                self._soft.detect(line_address, line.poison_bit, True,
+                                  "evict", f"set {where}, dirty eviction")
                 return
             self.stats.add("dirty_evictions")
             if self.compressor is not None:

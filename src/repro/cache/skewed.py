@@ -24,15 +24,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cache.base import FillResult, LLCInterface, ReadResult
 from repro.common.config import CacheGeometry
-from repro.common import settings
-from repro.common.errors import PoisonedLineError
 from repro.common.stats import StatGroup
 from repro.common.words import check_line
 from repro.obs import trace as obs_trace
 from repro.compression.base import IntraLineCompressor
 from repro.compression.cpack import CPackCompressor
 from repro.resilience import verify as res_verify
-from repro.resilience.faults import make_injector
+from repro.resilience.faults import soft_errors
 
 SUPERBLOCK_LINES = 4
 SIZE_CLASSES = (1, 2, 4, 8)  # compressed lines per 64B entry
@@ -91,8 +89,7 @@ class SkewedCompressedCache(LLCInterface):
         self._clock = 0
         self.stats = StatGroup(self.name)
         # Resilience hooks (repro/resilience): inert on a clean run.
-        self._injector = make_injector()
-        self._raw_fallback: set = set()
+        self._soft = soft_errors(self.name, self.stats)
         self._verify = res_verify.verification_enabled()
 
     # -- indexing ---------------------------------------------------------
@@ -128,46 +125,22 @@ class SkewedCompressedCache(LLCInterface):
             self.stats.add("read_misses")
             return ReadResult(False, self.base_latency_cycles)
         entry, _ = found
-        if line_address in entry.poisoned:
-            return self._recover(entry, line_address, during="read")
+        # A poisoned payload is decoded too, and fails.
+        self.stats.add("decompressions")
+        self.stats.add("decompressed_lines")
+        latency = self.base_latency_cycles + self.decompression_cycles
+        if self._soft is not None and line_address in entry.poisoned:
+            self._soft.detect(
+                line_address, entry.poisoned[line_address],
+                entry.lines[line_address][1], "read",
+                f"superblock {entry.superblock} size class {entry.blocks}")
+            del entry.lines[line_address]
+            del entry.poisoned[line_address]
+            return ReadResult(False, latency)
         entry.last_use = self._tick()
         self.stats.add("read_hits")
-        self.stats.add("decompressions")
-        self.stats.add("decompressed_lines")
         data, _dirty = entry.lines[line_address]
-        return ReadResult(True, self.base_latency_cycles
-                          + self.decompression_cycles, data=data)
-
-    # -- soft-error detection and recovery --------------------------------
-
-    def _recover(self, entry: _Entry, line_address: int,
-                 during: str) -> ReadResult:
-        """A poisoned line was touched: detect, recover per policy."""
-        policy = settings.current().soft_error_policy
-        bit = entry.poisoned[line_address]
-        self.stats.add("soft_errors_detected")
-        self.stats.add("decompressions")
-        self.stats.add("decompressed_lines")
-        if policy == "failstop":
-            raise PoisonedLineError(
-                self.name, line_address,
-                f"superblock {entry.superblock} size class "
-                f"{entry.blocks}", bit=bit)
-        if policy == "raw":
-            self._raw_fallback.add(line_address)
-            self.stats.add("raw_fallbacks")
-        _data, dirty = entry.lines.pop(line_address)
-        del entry.poisoned[line_address]
-        self.stats.add("soft_error_recoveries")
-        if dirty:
-            self.stats.add("soft_error_data_loss")
-        channel = obs_trace.RESILIENCE
-        if channel is not None:
-            channel.emit("recovery", cache=self.name, line=line_address,
-                         policy=policy, during=during, dirty=dirty,
-                         bit=bit)
-        return ReadResult(False, self.base_latency_cycles
-                          + self.decompression_cycles)
+        return ReadResult(True, latency, data=data)
 
     def fill(self, address: int, data: bytes) -> FillResult:
         self.stats.add("fills")
@@ -205,7 +178,8 @@ class SkewedCompressedCache(LLCInterface):
             res_verify.verify_intraline_roundtrip(self.compressor, data,
                                                   self.name)
         blocks = size_class(size.size_bytes)
-        if self._raw_fallback and line_address in self._raw_fallback:
+        soft = self._soft
+        if soft is not None and soft.stored_raw(line_address):
             blocks = 1  # stored uncompressed: one line per 64B entry
         superblock = line_address // SUPERBLOCK_LINES
         target = self._find_target(superblock, blocks, result)
@@ -213,17 +187,11 @@ class SkewedCompressedCache(LLCInterface):
         target.blocks = blocks
         target.lines[line_address] = (data, dirty)
         target.last_use = self._tick()
-        if self._injector is not None and blocks > 1:
+        if soft is not None and blocks > 1:
             # blocks == 1 entries are stored raw (assumed ECC-protected)
-            flip = self._injector.flip_for(size.size_bits)
+            flip = soft.poison(line_address, size.size_bits)
             if flip is not None:
                 target.poisoned[line_address] = flip
-                self.stats.add("soft_errors_injected")
-                res_channel = obs_trace.RESILIENCE
-                if res_channel is not None:
-                    res_channel.emit("soft_error", cache=self.name,
-                                     line=line_address, bit=flip,
-                                     bits=size.size_bits)
         channel = obs_trace.LLC
         if channel is not None:
             channel.emit("insert", cache=self.name, dirty=dirty,
@@ -260,20 +228,10 @@ class SkewedCompressedCache(LLCInterface):
             if dirty:
                 if line_address in entry.poisoned:
                     # Dirty victim cannot be decompressed for write-back.
-                    policy = settings.current().soft_error_policy
-                    self.stats.add("soft_errors_detected")
-                    if policy == "failstop":
-                        raise PoisonedLineError(
-                            self.name, line_address, "dirty eviction",
-                            bit=entry.poisoned[line_address])
-                    self.stats.add("soft_error_data_loss")
-                    res_channel = obs_trace.RESILIENCE
-                    if res_channel is not None:
-                        res_channel.emit(
-                            "recovery", cache=self.name,
-                            line=line_address, policy=policy,
-                            during="evict", dirty=True,
-                            bit=entry.poisoned[line_address])
+                    self._soft.detect(
+                        line_address, entry.poisoned[line_address], True,
+                        "evict", f"superblock {entry.superblock} size "
+                        f"class {entry.blocks}, dirty eviction")
                     continue
                 self.stats.add("dirty_evictions")
                 self.stats.add("decompressions")

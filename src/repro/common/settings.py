@@ -260,8 +260,8 @@ def override(base: Optional[Settings] = None,
     ``changes`` applied, restoring the previous settings afterwards.
 
     Installing settings equal to the current ones is free, so a worker
-    can wrap every cell in its grid's snapshot.  Caches capture their
-    soft-error injector at construction: build them inside the block.
+    can wrap every cell in its grid's snapshot.  Caches build their
+    soft-error model at construction: build them inside the block.
     """
     previous = _current
     updated = replace(base or previous, **changes)

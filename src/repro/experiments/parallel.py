@@ -54,7 +54,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Set, Tuple)
 
 from repro.common import settings
 from repro.common.config import SystemConfig
@@ -221,8 +221,11 @@ def _guarded(worker: Callable[[Any], Any],
                              peak_rss_kb())
 
 
-#: timings of the most recent engine invocation (spec order)
+#: timings of the most recent engine invocation (spec order), replayed
+#: cells included
 _last_timings: List[CellTiming] = []
+#: the subset of ``_last_timings`` this invocation executed
+_last_executed: List[CellTiming] = []
 #: wall clock of the most recent engine invocation
 _last_wall_s: float = 0.0
 #: resume statistics of the most recent invocation, or ``None``
@@ -253,8 +256,12 @@ def last_wall_seconds() -> float:
 
 
 def last_worker_profiles() -> List[WorkerProfile]:
-    """Per-worker utilization of the most recent engine invocation."""
-    return worker_profiles(_last_timings, _last_wall_s)
+    """Per-worker utilization of the most recent engine invocation.
+
+    Built only from cells it executed: a resumed grid's replayed cells
+    ran in an earlier invocation, against a different wall clock.
+    """
+    return worker_profiles(_last_executed, _last_wall_s)
 
 
 def last_resume() -> Optional[Dict[str, Any]]:
@@ -310,6 +317,8 @@ class _Grid:
         self.options = options
         self.results: Dict[int, Any] = {}
         self.timings: Dict[int, CellTiming] = {}
+        #: indices whose result (and timing) came from the journal
+        self.replayed: Set[int] = set()
         self.resume_stats: Optional[Dict[str, Any]] = None
         self.journal = (GridCheckpoint(options.checkpoint)
                         if options.checkpoint else None)
@@ -333,6 +342,7 @@ class _Grid:
             if record is None or record.get("status") != "ok":
                 continue  # missing or failed cells re-run
             self.results[index] = record["result"]
+            self.replayed.add(index)
             timing = record.get("timing")
             if timing is not None:
                 self.timings[index] = timing
@@ -369,8 +379,10 @@ class _Grid:
     def ordered_results(self) -> List[Any]:
         return [self.results[index] for index in range(len(self.items))]
 
-    def ordered_timings(self) -> List[CellTiming]:
-        return [self.timings[index] for index in sorted(self.timings)]
+    def ordered_timings(self, executed: bool = False) -> List[CellTiming]:
+        """Timings in spec order; only this invocation's if ``executed``."""
+        return [self.timings[index] for index in sorted(self.timings)
+                if not (executed and index in self.replayed)]
 
     def payload(self, index: int) -> Tuple:
         return (time.perf_counter(), self.labels[index], self.settings,
@@ -519,6 +531,7 @@ def _run_grid(worker: Callable[[Any], Any], items: Sequence[Any],
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     grid = _Grid(worker, items, labels, engine or EngineOptions())
     _last_timings.clear()
+    _last_executed.clear()
     _last_errors.clear()
     _last_wall_s = 0.0
     _last_resume = None
@@ -540,6 +553,7 @@ def _run_grid(worker: Callable[[Any], Any], items: Sequence[Any],
         grid.close_journal()
         _last_wall_s = time.perf_counter() - started
         _last_timings.extend(grid.ordered_timings())
+        _last_executed.extend(grid.ordered_timings(executed=True))
         _last_errors.extend(cell for _, cell in sorted(grid.results.items())
                             if isinstance(cell, CellError))
         _last_resume = grid.resume_stats

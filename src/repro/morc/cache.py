@@ -27,8 +27,7 @@ from collections import Counter, deque
 from typing import Deque, List, Optional
 
 from repro.common.config import MorcConfig
-from repro.common import settings
-from repro.common.errors import CacheError, PoisonedLineError
+from repro.common.errors import CacheError
 from repro.common.stats import StatGroup
 from repro.common.words import LINE_SIZE, check_line
 from repro.cache.base import FillResult, LLCInterface, ReadResult
@@ -45,7 +44,7 @@ from repro.morc.log import Log, LogEntry
 from repro.morc.policies import PlacementCandidate, choose_log
 from repro.obs import trace as obs_trace
 from repro.resilience import verify as res_verify
-from repro.resilience.faults import make_injector
+from repro.resilience.faults import soft_errors
 
 UNCOMPRESSED_LINE_BITS = LINE_SIZE * 8
 UNCOMPRESSED_TAG_BITS = FULL_TAG_BITS + VALID_BITS
@@ -114,11 +113,10 @@ class MorcCache(LLCInterface):
         self._active: List[int] = [self._free_pool.popleft()
                                    for _ in range(cfg.n_active_logs)]
         self.stats = StatGroup(self.name)
-        # Resilience hooks (repro/resilience): injector is None and
+        # Resilience hooks (repro/resilience): _soft is None and
         # _verify False on a clean run, so every hook is one attribute
         # load plus a branch.
-        self._injector = make_injector()
-        self._raw_fallback: set = set()
+        self._soft = soft_errors(self.name, self.stats)
         self._verify = res_verify.verification_enabled()
         #: distribution of decompressed output bytes per hit (Figure 14)
         self.latency_bytes_histogram: Counter = Counter()
@@ -155,7 +153,17 @@ class MorcCache(LLCInterface):
             return ReadResult(False, latency, aliased_miss=aliased)
         log_entry: LogEntry = lmt_entry.entry_ref
         if log_entry.poison_bit is not None:
-            return self._recover(lmt_entry, log_entry, during="read")
+            # The decoder runs (and fails) over the log prefix, so the
+            # detection pays the full hit latency and work; the miss
+            # routes the refetch through the memory controller.
+            self.stats.add("decompressed_lines", log_entry.position + 1)
+            self._soft.detect(
+                log_entry.line_address, log_entry.poison_bit,
+                lmt_entry.is_modified, "read",
+                f"log {log_entry.log_index} entry {log_entry.position}")
+            self.logs[log_entry.log_index].invalidate(log_entry)
+            self.lmt.release(lmt_entry)
+            return ReadResult(False, self._hit_latency(log_entry))
         self._clock += 1
         self.logs[log_entry.log_index].last_use = self._clock
         self.stats.add("read_hits")
@@ -163,45 +171,6 @@ class MorcCache(LLCInterface):
         self.latency_bytes_histogram[log_entry.output_bytes_through] += 1
         return ReadResult(True, self._hit_latency(log_entry),
                           data=log_entry.data)
-
-    # -- soft-error detection and recovery -----------------------------------
-
-    def _recover(self, lmt_entry: LmtEntry, log_entry: LogEntry,
-                 during: str) -> ReadResult:
-        """A poisoned entry was touched: detect, recover per policy.
-
-        The decoder runs (and fails) over the log prefix, so the
-        detection pays the full hit decompression latency and work; the
-        recovery then reports a miss, which routes the refetch through
-        the memory controller's ordinary latency/energy accounting.
-        """
-        policy = settings.current().soft_error_policy
-        latency = self._hit_latency(log_entry)
-        self.stats.add("soft_errors_detected")
-        self.stats.add("decompressed_lines", log_entry.position + 1)
-        dirty = lmt_entry.is_modified
-        if policy == "failstop":
-            raise PoisonedLineError(
-                self.name, log_entry.line_address,
-                f"log {log_entry.log_index} entry {log_entry.position}",
-                bit=log_entry.poison_bit)
-        if policy == "raw":
-            self._raw_fallback.add(log_entry.line_address)
-            self.stats.add("raw_fallbacks")
-        self.logs[log_entry.log_index].invalidate(log_entry)
-        self.lmt.release(lmt_entry)
-        self.stats.add("soft_error_recoveries")
-        if dirty:
-            # The only copy was dirty: the modelled refetch restores the
-            # stale memory image, i.e. the write is lost.
-            self.stats.add("soft_error_data_loss")
-        channel = obs_trace.RESILIENCE
-        if channel is not None:
-            channel.emit("recovery", cache=self.name,
-                         line=log_entry.line_address, policy=policy,
-                         during=during, dirty=dirty,
-                         bit=log_entry.poison_bit)
-        return ReadResult(False, latency)
 
     def fill(self, address: int, data: bytes) -> FillResult:
         self.stats.add("fills")
@@ -276,22 +245,29 @@ class MorcCache(LLCInterface):
         if conflict.is_modified:
             # The line must be decompressed and written back to memory.
             self.stats.add("decompressed_lines", victim.position + 1)
+            if victim.poison_bit is not None:
+                self._soft.detect(
+                    victim.line_address, victim.poison_bit, True, "evict",
+                    f"log {victim.log_index} entry {victim.position} "
+                    f"(LMT conflict)")
+                return
             result.writebacks.append(
                 (victim.line_address * LINE_SIZE, victim.data))
 
     def _append_line(self, line_address: int, data: bytes,
                      result: FillResult) -> LogEntry:
         """Compress-and-append into the best active log."""
-        candidates = self._trial_all(line_address, data)
+        # raw recovery policy: this line's data is stored uncompressed
+        raw = self._soft is not None and self._soft.stored_raw(line_address)
+        candidates = self._trial_all(line_address, data, raw)
         choice = choose_log(candidates, self.config.fudge_factor)
         if choice is None:
             fresh = self._retire_and_refresh(result)
-            return self._commit_append(fresh, line_address, data)
-        return self._commit_append(choice.log, line_address, data)
+            return self._commit_append(fresh, line_address, data, raw)
+        return self._commit_append(choice.log, line_address, data, raw)
 
-    def _trial_all(self, line_address: int,
-                   data: bytes) -> List[PlacementCandidate]:
-        raw = bool(self._raw_fallback) and line_address in self._raw_fallback
+    def _trial_all(self, line_address: int, data: bytes,
+                   raw: bool) -> List[PlacementCandidate]:
         candidates: List[PlacementCandidate] = []
         for index in self._active:
             log = self.logs[index]
@@ -328,15 +304,13 @@ class MorcCache(LLCInterface):
             return UNCOMPRESSED_TAG_BITS
         return self._tag_compressor.measure(log.tag_stream, line_address)
 
-    def _commit_append(self, log: Log, line_address: int,
-                       data: bytes) -> LogEntry:
-        raw = bool(self._raw_fallback) and line_address in self._raw_fallback
+    def _commit_append(self, log: Log, line_address: int, data: bytes,
+                       raw: bool) -> LogEntry:
         if raw and self.compression_enabled:
-            # raw recovery policy: this line's data is stored
-            # uncompressed (and is assumed ECC-protected, so it is not
-            # an injection target); its tag still joins the compressed
-            # tag stream, which the decoder does not need to recover
-            # the data payload.
+            # A raw line is assumed ECC-protected, so it is not an
+            # injection target; its tag still joins the compressed tag
+            # stream, which the decoder does not need to recover the
+            # data payload.
             compressed = None
             data_bits = UNCOMPRESSED_LINE_BITS
             token = self._tag_compressor.append(log.tag_stream, line_address)
@@ -386,17 +360,10 @@ class MorcCache(LLCInterface):
                          bits=data_bits, tag_bits=tag_bits)
         entry = log.append(line_address, data, data_bits, tag_bits,
                            compressed=compressed)
-        if (self._injector is not None and self.compression_enabled
+        if (self._soft is not None and self.compression_enabled
                 and not raw):
-            flip = self._injector.flip_for(data_bits)
-            if flip is not None:
-                entry.poison_bit = flip
-                self.stats.add("soft_errors_injected")
-                channel = obs_trace.RESILIENCE
-                if channel is not None:
-                    channel.emit("soft_error", cache=self.name,
-                                 line=line_address, log=log.index,
-                                 bit=flip, bits=data_bits)
+            entry.poison_bit = self._soft.poison(line_address, data_bits,
+                                                 log=log.index)
         return entry
 
     def _account_symbols(self, compressed, data: bytes) -> None:
@@ -470,44 +437,20 @@ class MorcCache(LLCInterface):
             if lmt_entry is None or lmt_entry.entry_ref is not entry:
                 raise CacheError("log entry lost its LMT back-pointer")
             if entry.poison_bit is not None:
-                self._recover_at_flush(lmt_entry, entry)
-                continue
-            if channel is not None:
-                channel.emit("evict", cache=self.name, reason="log_flush",
-                             dirty=lmt_entry.is_modified, log=log.index)
-            if lmt_entry.is_modified:
-                result.writebacks.append(
-                    (entry.line_address * LINE_SIZE, entry.data))
-                self.stats.add("flush_writebacks")
+                # The decode fails mid-log: nothing to write back.
+                self._soft.detect(
+                    entry.line_address, entry.poison_bit,
+                    lmt_entry.is_modified, "flush",
+                    f"log {log.index} entry {entry.position} "
+                    f"(during flush)")
+            else:
+                if channel is not None:
+                    channel.emit("evict", cache=self.name,
+                                 reason="log_flush",
+                                 dirty=lmt_entry.is_modified, log=log.index)
+                if lmt_entry.is_modified:
+                    result.writebacks.append(
+                        (entry.line_address * LINE_SIZE, entry.data))
+                    self.stats.add("flush_writebacks")
             self.lmt.release(lmt_entry)
             log.invalidate(entry)
-
-    def _recover_at_flush(self, lmt_entry: LmtEntry,
-                          entry: LogEntry) -> None:
-        """Flush hit a poisoned entry: the decode fails mid-log.
-
-        A dirty poisoned line cannot be written back — the write is
-        lost; a clean one is simply dropped (memory still holds it).
-        """
-        policy = settings.current().soft_error_policy
-        self.stats.add("soft_errors_detected")
-        if policy == "failstop":
-            raise PoisonedLineError(
-                self.name, entry.line_address,
-                f"log {entry.log_index} entry {entry.position} "
-                f"(during flush)", bit=entry.poison_bit)
-        if policy == "raw":
-            self._raw_fallback.add(entry.line_address)
-            self.stats.add("raw_fallbacks")
-        dirty = lmt_entry.is_modified
-        self.stats.add("soft_error_recoveries")
-        if dirty:
-            self.stats.add("soft_error_data_loss")
-        channel = obs_trace.RESILIENCE
-        if channel is not None:
-            channel.emit("recovery", cache=self.name,
-                         line=entry.line_address, policy=policy,
-                         during="flush", dirty=dirty,
-                         bit=entry.poison_bit)
-        self.lmt.release(lmt_entry)
-        self.logs[entry.log_index].invalidate(entry)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.common.errors import VerificationError
-from repro.common.words import LINE_SIZE
 from repro.obs import trace as obs_trace
 from repro.common import settings
 
@@ -214,9 +213,3 @@ def _audit_skewed(llc) -> List[str]:
                         f"superblock {entry.superblock}")
     return violations
 
-
-def verify_line_length(data: bytes, cache: str) -> None:
-    """Cheap insert-time sanity check shared by all verified caches."""
-    if len(data) != LINE_SIZE:
-        _fail(cache, [f"stored line is {len(data)} bytes, expected "
-                      f"{LINE_SIZE}"], kind="roundtrip")

@@ -202,6 +202,40 @@ def test_resume_reruns_only_missing_cells(repro_env, tmp_path):
     assert len(parallel.last_timings()) == 4
 
 
+def _sleepy_crashing_double(x):
+    """2*x after 0.1 s, but raise on items listed in TEST_CRASH."""
+    time.sleep(0.1)
+    return _crashing_double(x)
+
+
+def test_resumed_worker_profiles_count_only_executed_cells(repro_env,
+                                                           trace_path,
+                                                           tmp_path):
+    # Replayed cells once joined the worker profiles, so a resume that
+    # loaded every cell in a fraction of a millisecond divided the old
+    # run's busy seconds by its own wall clock: utilizations of ~2000.
+    ckpt = str(tmp_path / "grid.ckpt")
+    repro_env.set(TEST_CRASH="2")
+    parallel_map(_sleepy_crashing_double, [0, 1, 2, 3], jobs=2,
+                 engine=EngineOptions(on_error="skip", checkpoint=ckpt))
+    repro_env.set(TEST_CRASH=None)
+    for executed in (1, 0):
+        resumed = parallel_map(_sleepy_crashing_double, [0, 1, 2, 3],
+                               jobs=2, engine=EngineOptions(
+                                   checkpoint=ckpt, resume=True))
+        assert resumed == [0, 2, 4, 6]
+        assert parallel.last_resume()["executed"] == executed
+        assert len(parallel.last_timings()) == 4
+        profiles = parallel.last_worker_profiles()
+        assert sum(p.cells for p in profiles) == executed
+        assert all(p.utilization <= 1.0 for p in profiles)
+    events = list(read_events(trace_path))
+    last_resume = max(i for i, event in enumerate(events)
+                      if event.get("ev") == "resume")
+    assert not [event for event in events[last_resume:]
+                if event.get("ev") == "worker"]
+
+
 def test_interrupt_flushes_checkpoint_and_resumes(repro_env, tmp_path):
     ckpt = str(tmp_path / "grid.ckpt")
     repro_env.set(TEST_INTERRUPT="1")

@@ -14,6 +14,7 @@ import pytest
 from repro.cache.set_assoc import AdaptiveCache, SEGMENT_BYTES
 from repro.cache.skewed import SkewedCompressedCache
 from repro.common.config import CacheGeometry, MorcConfig
+from repro.common.stats import StatGroup
 from repro.common.errors import (
     ConfigError,
     PoisonedLineError,
@@ -22,7 +23,7 @@ from repro.common.errors import (
 from repro.morc.cache import UNCOMPRESSED_LINE_BITS, MorcCache
 from repro.resilience import verify as res_verify
 from repro.common.settings import parse_soft_errors
-from repro.resilience.faults import SoftErrorInjector, make_injector
+from repro.resilience.faults import SoftErrorInjector, soft_errors
 from repro.sim.system import run_single_program
 
 
@@ -80,8 +81,11 @@ class TestSpecParsing:
 
 
 class TestInjector:
-    def test_inert_config_yields_no_injector(self):
-        assert make_injector() is None
+    def test_inert_config_yields_no_injector(self, knobs):
+        assert soft_errors("cache", StatGroup("cache")) is None
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY="raw")
+        model = soft_errors("cache", StatGroup("cache"))
+        assert model is not None and model.policy == "raw"
 
     def test_rate_mode_is_deterministic(self):
         def flips():
@@ -156,7 +160,7 @@ class TestMorcRecovery:
         cache.fill(0, line(3))
         assert not cache.read(0).hit  # detection refetches once
         assert cache.stats["raw_fallbacks"] == 1
-        assert 0 in cache._raw_fallback
+        assert cache._soft.stored_raw(0)
         cache.fill(0, line(3))  # the refetched copy comes back raw
         assert cache.read(0).hit
         entry = next(e for log in cache.logs for e in log.entries
@@ -185,6 +189,32 @@ class TestMorcRecovery:
             writebacks.extend(result.writebacks)
         assert cache.stats["soft_errors_detected"] >= 1
         assert all(address != 0 for address, _ in writebacks)
+
+    @staticmethod
+    def _lmt_conflict(policy, knobs):
+        """A poisoned modified line 0, then a fill that takes its LMT slot."""
+        knobs.set(REPRO_SOFT_ERRORS="@0", REPRO_SOFT_ERROR_POLICY=policy)
+        cache = MorcCache(8 * 1024, config=MorcConfig(
+            n_active_logs=2, lmt_overprovision=1, lmt_ways=1))
+        cache.writeback(0, bytes(64))
+        assert cache.stats["soft_errors_injected"] == 1
+        return cache, cache.lmt.n_sets * 64  # same LMT set as line 0
+
+    def test_lmt_conflict_failstop_names_the_line(self, knobs):
+        cache, conflicting = self._lmt_conflict("failstop", knobs)
+        with pytest.raises(PoisonedLineError) as excinfo:
+            cache.fill(conflicting, line(5))
+        assert excinfo.value.line_address == 0
+        assert "LMT conflict" in str(excinfo.value)
+
+    def test_lmt_conflict_drops_the_poisoned_write(self, knobs):
+        cache, conflicting = self._lmt_conflict("refetch", knobs)
+        result = cache.fill(conflicting, line(5))
+        assert cache.stats["lmt_conflict_evictions"] == 1
+        assert all(address != 0 for address, _ in result.writebacks)
+        assert cache.stats["soft_errors_detected"] == 1
+        assert cache.stats["soft_error_recoveries"] == 1
+        assert cache.stats["soft_error_data_loss"] == 1
 
 
 # -- baseline caches -------------------------------------------------------
@@ -264,13 +294,21 @@ class TestSkewedRecovery:
 
 
 class TestEndToEnd:
-    def test_run_completes_under_injection(self, knobs):
-        knobs.set(REPRO_SOFT_ERRORS="1e-3", REPRO_SOFT_ERROR_POLICY="refetch")
-        result = run_single_program("gcc", "MORC", n_instructions=20_000)
-        assert result.llc_stats["soft_errors_injected"] > 0
-        assert result.llc_stats["soft_errors_detected"] > 0
-        assert (result.llc_stats["soft_error_recoveries"]
-                == result.llc_stats["soft_errors_detected"])
+    @pytest.mark.parametrize("policy", ["refetch", "raw"])
+    @pytest.mark.parametrize("scheme", ["Adaptive", "Decoupled", "SC2",
+                                        "Skewed", "MORC"])
+    def test_run_completes_under_injection(self, knobs, scheme, policy):
+        """Every detection point of every scheme recovers the same way:
+        each detection is a recovery, and under ``raw`` a fallback."""
+        knobs.set(REPRO_SOFT_ERRORS="1e-3", REPRO_SOFT_ERROR_POLICY=policy)
+        result = run_single_program("gcc", scheme, n_instructions=20_000)
+        stats = result.llc_stats
+        assert stats["soft_errors_injected"] > 0
+        assert stats["soft_errors_detected"] > 0
+        assert (stats["soft_error_recoveries"]
+                == stats["soft_errors_detected"])
+        if policy == "raw":
+            assert stats["raw_fallbacks"] == stats["soft_errors_detected"]
 
     def test_injected_runs_are_deterministic(self, knobs):
         knobs.set(REPRO_SOFT_ERRORS="1e-3", REPRO_SOFT_ERROR_POLICY="refetch")
